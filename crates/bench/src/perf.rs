@@ -5,7 +5,8 @@
 //!
 //! * **kernel benches** time each word-parallel fast-path kernel against
 //!   its structural-circuit oracle (prefix networks, inner-join
-//!   sequencer, output compactor) and report the speedup;
+//!   sequencer, output compactor) and the simulators' per-position work
+//!   row against the per-pair chunk lookup, and report the speedup;
 //! * **macro benches** time representative end-to-end paths: one
 //!   cycle-simulated layer per architecture and one functional-engine
 //!   layer (the harness adds its cache hit path on top).
@@ -228,6 +229,26 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
         },
         &mut || {
             std::hint::black_box(fast::compact_values(&cells));
+        },
+    );
+    // One output position's two-sided work for every (chunk, filter) of a
+    // VGG-sized layer: the per-pair lookup against the per-position row.
+    let row_shape = ConvShape::new(256, 4, 4, 3, 512, 1, 1);
+    let row_layer = workload(&row_shape, 0.35, 0.3, crate::SEED);
+    let row_model = MaskModel::new(&row_layer, 128);
+    let mut row = Vec::new();
+    kernel(
+        "kernel/work-row",
+        &mut || {
+            for c in 0..row_model.chunks_per_window() {
+                for f in 0..row_layer.shape.num_filters {
+                    std::hint::black_box(row_model.chunk_work(1, 1, f, c));
+                }
+            }
+        },
+        &mut || {
+            row_model.work_row(1, 1, &mut row);
+            std::hint::black_box(&row);
         },
     );
 

@@ -59,6 +59,7 @@ fn artifact_schema_and_registry_are_pinned() {
             "kernel/prefix-koggestone-128",
             "kernel/inner-join-128",
             "kernel/compact-32",
+            "kernel/work-row",
         ],
         "kernel registry changed — update the golden list AND the baseline"
     );

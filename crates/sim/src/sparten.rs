@@ -16,10 +16,14 @@
 //! with a non-zero input are multiplied) — the paper's proxy for Cnvlutin,
 //! Cambricon-X, and EIE's zero idling.
 //!
-//! Chunk work is obtained from [`MaskModel`], whose inner loops run on the
-//! word-parallel kernels in `sparten_arch::fast` (AND + popcount per `u64`
-//! word); the structural circuit models remain the oracle those kernels
-//! are differentially tested against.
+//! Chunk work is obtained from [`MaskModel`]. Two-sided runs fill one
+//! [`MaskModel::work_row`] per output position — the AND + popcount work of
+//! every (chunk, filter) pair, computed once and shared by every group,
+//! chunk and unit of that position — and a unit's chunk work is the sum of
+//! that row over the filters in its slots. One-sided runs likewise take the
+//! input chunks' popcounts once per position. The structural circuit
+//! models remain the oracle the word-parallel kernels are differentially
+//! tested against.
 
 use sparten_core::balance::{BalanceMode, LayerBalance};
 use sparten_core::SimError;
@@ -159,6 +163,16 @@ fn simulate_sparten_inner(
     // Scratch: per-unit (work, statically-empty) for the chunk just timed,
     // filled only when probing.
     let mut unit_scratch: Vec<(u64, bool)> = Vec::new();
+    // Per-position work: `row[c · F + f]` (two-sided) or the input chunks'
+    // popcounts (one-sided), shared by every group and unit.
+    let nf = shape.num_filters;
+    let mut row: Vec<u32> = Vec::new();
+    let mut onesided = vec![0u64; chunks];
+    let busy_per_group: Vec<u64> = balance
+        .groups
+        .iter()
+        .map(|g| g.busy_units() as u64)
+        .collect();
 
     for cluster in 0..num_clusters {
         let unit_fault = fault.filter(|f| f.cluster == cluster);
@@ -175,15 +189,22 @@ fn simulate_sparten_inner(
             sparten_telemetry::cancel::checkpoint();
             let pos_start = cycles;
             let (ox, oy) = (p % oh, p / oh);
-            for group in &balance.groups {
-                let busy_units = group.busy_units() as u64;
+            match sparsity {
+                Sparsity::TwoSided => model.work_row(ox, oy, &mut row),
+                Sparsity::OneSided => {
+                    for (c, w) in onesided.iter_mut().enumerate() {
+                        *w = model.onesided_chunk_work(ox, oy, c) as u64;
+                    }
+                }
+            }
+            for (group, &busy_units) in balance.groups.iter().zip(&busy_per_group) {
                 if busy_units == 0 {
                     continue;
                 }
                 for c in 0..chunks {
                     match sparsity {
                         Sparsity::OneSided => {
-                            let w = model.onesided_chunk_work(ox, oy, c) as u64;
+                            let w = onesided[c];
                             // The broadcast barrier advances at the victim's
                             // stretched latency; useful work is unchanged.
                             let mut barrier = w;
@@ -225,12 +246,10 @@ fn simulate_sparten_inner(
                             if probing {
                                 unit_scratch.clear();
                             }
+                            let chunk_row = &row[c * nf..(c + 1) * nf];
                             let mut chunk_max = 0u64;
                             for (u, slots) in per_unit.iter().enumerate() {
-                                let mut w = 0u64;
-                                for &f in slots {
-                                    w += model.chunk_work(ox, oy, f, c) as u64;
-                                }
+                                let w: u64 = slots.iter().map(|&f| chunk_row[f] as u64).sum();
                                 busy += w;
                                 // The barrier sees the unit's *latency*: its
                                 // true work, stretched for a slow victim.

@@ -5,9 +5,25 @@
 //! MAC count for that chunk. Doing this through the functional engine (which
 //! also multiplies values) would be needlessly slow at AlexNet/VGG scale, so
 //! this model precomputes the input's per-fiber masks and every filter's
-//! per-tap masks as packed `u64` words; a chunk's work is then a couple of
+//! per-chunk masks as packed `u64` words; a chunk's work is then a couple of
 //! `AND` + `popcount` word operations. Integration tests verify the model
 //! against the exact engine traces on small layers.
+//!
+//! Filter masks are stored *filter-major per chunk*: the words of window
+//! chunk `c` for filters `0..F` sit next to each other. A simulator asks
+//! for a whole [`MaskModel::work_row`] per output position — the work of
+//! every (chunk, filter) pair at once — so each tap's input fiber is
+//! resolved once, an all-zero input chunk zero-fills its `F` entries
+//! without touching a filter word (the zero-chunk prescan), and a non-zero
+//! one streams AND + popcount over `F · words_per_chunk` contiguous words.
+//! On x86-64 the row kernel is dispatched at run time to an instance
+//! compiled with the `popcnt` instruction (the baseline target only has a
+//! software popcount); elsewhere the same generic body runs.
+//!
+//! There is deliberately no whole-layer work table: one row is
+//! `k² · ⌈d/chunk⌉ · F` entries (72 KiB for a 512-filter, 512-channel 3×3
+//! layer), while a table for every position of a VGG layer would hold tens
+//! of millions of entries and dominate the process's peak memory.
 
 use std::sync::OnceLock;
 
@@ -37,8 +53,9 @@ pub struct MaskModel {
     words_per_chunk: usize,
     /// `input_words[(x + h·y) · words_per_fiber ..]` = padded fiber mask.
     input_words: Vec<u64>,
-    /// `filter_words[((f·k² + tap) · words_per_fiber) ..]`, tap = fy·k + fx.
-    filter_words: Vec<u64>,
+    /// `filter_major[(c · F + f) · words_per_chunk ..]` = filter `f`'s mask
+    /// for window chunk `c = tap · chunks_per_fiber + sub`, tap = fy·k + fx.
+    filter_major: Vec<u64>,
     input_nnz: u64,
     weight_nnz: u64,
     zero_fiber: Vec<u64>,
@@ -79,16 +96,18 @@ impl MaskModel {
         }
 
         let k = shape.kernel;
-        let mut filter_words = vec![0u64; shape.num_filters * k * k * words_per_fiber];
+        let nf = shape.num_filters;
+        let mut filter_major = vec![0u64; nf * k * k * words_per_fiber];
         let mut weight_nnz = 0u64;
         for (f, filter) in workload.filters.iter().enumerate() {
             for fy in 0..k {
                 for fx in 0..k {
                     let tap = fy * k + fx;
-                    let base = (f * k * k + tap) * words_per_fiber;
                     for (z, &v) in filter.weights().fiber(fx, fy).iter().enumerate() {
                         if v != 0.0 {
-                            filter_words[base + z / 64] |= 1 << (z % 64);
+                            let c = tap * chunks_per_fiber + z / chunk_size;
+                            let word = (z % chunk_size) / 64;
+                            filter_major[(c * nf + f) * words_per_chunk + word] |= 1 << (z % 64);
                             weight_nnz += 1;
                         }
                     }
@@ -103,7 +122,7 @@ impl MaskModel {
             chunks_per_fiber,
             words_per_chunk,
             input_words,
-            filter_words,
+            filter_major,
             input_nnz,
             weight_nnz,
             zero_fiber: vec![0u64; words_per_fiber],
@@ -154,21 +173,88 @@ impl MaskModel {
         }
     }
 
+    /// Mask words of filter `f` for window chunk `c`.
+    #[inline]
+    fn filter_chunk(&self, f: usize, c: usize) -> &[u64] {
+        let base = (c * self.shape.num_filters + f) * self.words_per_chunk;
+        &self.filter_major[base..base + self.words_per_chunk]
+    }
+
     /// Two-sided join work (MACs) of chunk `c` for output `(ox, oy)` and
     /// filter `f`. Chunk indices are tap-major: `c = tap · chunks_per_fiber
-    /// + sub`.
+    /// + sub`. Hot loops use [`MaskModel::work_row`] instead.
     #[inline]
     pub fn chunk_work(&self, ox: usize, oy: usize, f: usize, c: usize) -> u32 {
         let k = self.shape.kernel;
         let (tap, sub) = (c / self.chunks_per_fiber, c % self.chunks_per_fiber);
         let (tap_y, tap_x) = (tap / k, tap % k);
         let fiber = self.tap_fiber(ox, oy, tap_x, tap_y);
-        let fbase = (f * k * k + tap) * self.words_per_fiber + sub * self.words_per_chunk;
         let ibase = sub * self.words_per_chunk;
         and_popcount_words(
             &fiber[ibase..ibase + self.words_per_chunk],
-            &self.filter_words[fbase..fbase + self.words_per_chunk],
+            self.filter_chunk(f, c),
         )
+    }
+
+    /// Two-sided join work of output `(ox, oy)` for every chunk and filter:
+    /// on return `row[c · F + f] == chunk_work(ox, oy, f, c)` for every
+    /// window chunk `c` and filter `f` (`row` is resized to
+    /// `chunks_per_window() · F`).
+    pub fn work_row(&self, ox: usize, oy: usize, row: &mut Vec<u32>) {
+        row.resize(self.chunks_per_window() * self.shape.num_filters, 0);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: the running CPU supports `popcnt`, checked just above.
+            unsafe { self.work_row_popcnt(ox, oy, row) };
+            return;
+        }
+        self.work_row_body(ox, oy, row);
+    }
+
+    /// [`MaskModel::work_row_body`] compiled with the `popcnt` instruction.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn work_row_popcnt(&self, ox: usize, oy: usize, row: &mut [u32]) {
+        self.work_row_body(ox, oy, row);
+    }
+
+    /// The row kernel both dispatch targets share; `row` is already sized.
+    #[inline(always)]
+    fn work_row_body(&self, ox: usize, oy: usize, row: &mut [u32]) {
+        let k = self.shape.kernel;
+        let nf = self.shape.num_filters;
+        let wpc = self.words_per_chunk;
+        for tap in 0..k * k {
+            let fiber = self.tap_fiber(ox, oy, tap % k, tap / k);
+            for (sub, input) in fiber.chunks_exact(wpc).enumerate() {
+                let c = tap * self.chunks_per_fiber + sub;
+                let out = &mut row[c * nf..(c + 1) * nf];
+                // Prescan: an empty input chunk joins to nothing with
+                // every filter.
+                if input.iter().all(|&w| w == 0) {
+                    out.fill(0);
+                    continue;
+                }
+                let filters = &self.filter_major[c * nf * wpc..(c + 1) * nf * wpc];
+                if let [a0, a1] = *input {
+                    for (o, fw) in out.iter_mut().zip(filters.chunks_exact(2)) {
+                        *o = (a0 & fw[0]).count_ones() + (a1 & fw[1]).count_ones();
+                    }
+                } else {
+                    for (o, fw) in out.iter_mut().zip(filters.chunks_exact(wpc)) {
+                        *o = input
+                            .iter()
+                            .zip(fw)
+                            .map(|(a, b)| (a & b).count_ones())
+                            .sum();
+                    }
+                }
+            }
+        }
     }
 
     /// One-sided work of chunk `c` for output `(ox, oy)`: the input chunk's
@@ -197,17 +283,18 @@ impl MaskModel {
             .sum()
     }
 
-    /// Total two-sided MACs of the layer — the true sparse compute volume.
-    /// Cached after the first call (several simulators share it).
+    /// Total two-sided MACs of the layer — the true sparse compute volume,
+    /// summed over every position's [`MaskModel::work_row`]. Cached after
+    /// the first call (several simulators share it).
     pub fn total_sparse_macs(&self) -> u64 {
         *self.total_macs_cache.get_or_init(|| {
             let (oh, ow) = (self.shape.out_height(), self.shape.out_width());
+            let mut row = Vec::new();
             let mut total = 0u64;
             for oy in 0..ow {
                 for ox in 0..oh {
-                    for f in 0..self.shape.num_filters {
-                        total += self.window_work(ox, oy, f);
-                    }
+                    self.work_row(ox, oy, &mut row);
+                    total += row.iter().map(|&w| w as u64).sum::<u64>();
                 }
             }
             total
@@ -216,10 +303,7 @@ impl MaskModel {
 
     /// Non-zero weights of filter `f` alone.
     pub fn filter_nnz(&self, f: usize) -> u64 {
-        let k = self.shape.kernel;
-        let base = f * k * k * self.words_per_fiber;
-        let len = k * k * self.words_per_fiber;
-        popcount_words(&self.filter_words[base..base + len]) as u64
+        self.filter_chunk_nnz(f).iter().map(|&n| n as u64).sum()
     }
 
     /// Measured per-layer densities — the inputs the `sparten-model`
@@ -245,13 +329,8 @@ impl MaskModel {
     /// Per-chunk filter-mask popcounts for filter `f` — GB-H's sort key and
     /// the quantity Figure 14 plots.
     pub fn filter_chunk_nnz(&self, f: usize) -> Vec<u32> {
-        let k = self.shape.kernel;
         (0..self.chunks_per_window())
-            .map(|c| {
-                let (tap, sub) = (c / self.chunks_per_fiber, c % self.chunks_per_fiber);
-                let fbase = (f * k * k + tap) * self.words_per_fiber + sub * self.words_per_chunk;
-                popcount_words(&self.filter_words[fbase..fbase + self.words_per_chunk])
-            })
+            .map(|c| popcount_words(self.filter_chunk(f, c)))
             .collect()
     }
 }

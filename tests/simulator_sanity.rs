@@ -242,3 +242,199 @@ SCNN-dense compute=147456 memory=1928 cycles=147456 energy_uj=596.522688
 ";
     assert_eq!(got, expected, "golden snapshot drifted; actual:\n{got}");
 }
+
+/// Golden snapshot of the SparTen-family schedules on small strided,
+/// padded layers whose channel counts straddle chunk boundaries (65 and
+/// 130 channels under 64-, 128- and 256-wide chunks).
+///
+/// Pins every sparten-family code path the cycle loop has: the clean
+/// schedule (compute cycles and breakdown), the instrumented run and its
+/// stall decomposition, a `Slow(4)` straggler and a `Stuck` unit. Any
+/// change to how chunk work is computed or summed must leave these values
+/// unchanged; an intentional semantic change updates the snapshot from
+/// the failure output and bumps the harness cache format version.
+#[test]
+fn golden_values_strided_chunk_boundary_layers() {
+    use sparten::faults::{UnitFault, UnitFaultSpec};
+    use sparten::sim::{simulate_layer_telemetry, try_simulate_layer};
+    use sparten::telemetry::Telemetry;
+
+    let layers = [
+        ConvShape::new(65, 9, 9, 3, 10, 2, 1),
+        ConvShape::new(130, 10, 10, 3, 9, 2, 2),
+    ];
+    let schemes = [
+        Scheme::OneSided,
+        Scheme::SpartenNoGb,
+        Scheme::SpartenGbS,
+        Scheme::SpartenGbH,
+    ];
+    let mut got = String::new();
+    for (li, shape) in layers.iter().enumerate() {
+        let w = workload(shape, 0.4, 0.35, 300 + li as u64);
+        for chunk in [64, 128, 256] {
+            let mut cfg = sim_config(4, 2);
+            cfg.accel.cluster.chunk_size = chunk;
+            let model = MaskModel::new(&w, chunk);
+            got.push_str(&format!(
+                "d={} chunk={chunk} macs={}\n",
+                shape.in_channels,
+                model.total_sparse_macs()
+            ));
+            for scheme in schemes {
+                let r = simulate_layer(&w, &model, &cfg, scheme);
+                let b = r.breakdown;
+                got.push_str(&format!(
+                    "  {} compute={} nz={} z={} intra={} inter={}\n",
+                    r.scheme, r.compute_cycles, b.nonzero, b.zero, b.intra, b.inter
+                ));
+
+                let session = Telemetry::new();
+                let t = simulate_layer_telemetry(&w, &model, &cfg, scheme, &session, "g:")
+                    .unwrap_or_else(|e| panic!("{}: {e}", r.scheme));
+                assert_eq!(t, r, "telemetry changed {} result", r.scheme);
+                let snap = session.metrics.snapshot();
+                let stalls: Vec<String> = snap
+                    .counters_under(&format!("{}/stall.intra.", r.scheme))
+                    .into_iter()
+                    .map(|(name, v)| format!("{}={v}", name.rsplit('.').next().unwrap_or(name)))
+                    .collect();
+                let joins = snap.counter(&format!("{}/trace.chunk_joins", r.scheme));
+                got.push_str(&format!(
+                    "    intra[{}] joins={}\n",
+                    stalls.join(","),
+                    joins.unwrap_or(0)
+                ));
+
+                let slow = UnitFaultSpec {
+                    cluster: 0,
+                    unit: 1,
+                    fault: UnitFault::Slow(4),
+                };
+                let s = try_simulate_layer(&w, &model, &cfg, scheme, Some(&slow))
+                    .expect("a slow unit is survivable");
+                let sb = s.breakdown;
+                got.push_str(&format!(
+                    "    slow4 compute={} nz={} z={} intra={} inter={}\n",
+                    s.compute_cycles, sb.nonzero, sb.zero, sb.intra, sb.inter
+                ));
+
+                let stuck = UnitFaultSpec {
+                    cluster: 1,
+                    unit: 3,
+                    fault: UnitFault::Stuck,
+                };
+                match try_simulate_layer(&w, &model, &cfg, scheme, Some(&stuck)) {
+                    Ok(s) => got.push_str(&format!("    stuck ok compute={}\n", s.compute_cycles)),
+                    Err(e) => got.push_str(&format!("    stuck err {e}\n")),
+                }
+            }
+        }
+    }
+
+    let expected = "\
+d=65 chunk=64 macs=16179
+  One-sided compute=7890 nz=16179 z=29051 intra=14446 inter=3444
+    intra[output_backpressure=0,prefix_encoder_wait=5400,unit_underfill=9046] joins=4500
+    slow4 compute=26172 nz=16179 z=29051 intra=91018 inter=73128
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=4137 nz=16179 z=0 intra=15137 inter=1780
+    intra[chunk_barrier_idle=5492,empty_mask_and=277,output_backpressure=0,prefix_encoder_wait=5400,unit_underfill=3968] joins=4500
+    slow4 compute=10953 nz=16179 z=0 intra=44181 inter=27264
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=3822 nz=16179 z=0 intra=12541 inter=1856
+    intra[chunk_barrier_idle=2413,empty_mask_and=108,output_backpressure=0,prefix_encoder_wait=3600,unit_underfill=6420] joins=4500
+    slow4 compute=7957 nz=16179 z=0 intra=30937 inter=16540
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=3763 nz=16179 z=0 intra=12213 inter=1712
+    intra[chunk_barrier_idle=2158,empty_mask_and=35,output_backpressure=0,prefix_encoder_wait=3600,unit_underfill=6420] joins=4500
+    slow4 compute=7985 nz=16179 z=0 intra=30813 inter=16888
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+d=65 chunk=128 macs=16179
+  One-sided compute=7539 nz=16179 z=29051 intra=11746 inter=3336
+    intra[output_backpressure=0,prefix_encoder_wait=2700,unit_underfill=9046] joins=2250
+    slow4 compute=25848 nz=16179 z=29051 intra=88318 inter=73236
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=3770 nz=16179 z=0 intra=12321 inter=1660
+    intra[chunk_barrier_idle=5636,empty_mask_and=29,output_backpressure=0,prefix_encoder_wait=2700,unit_underfill=3956] joins=2250
+    slow4 compute=10608 nz=16179 z=0 intra=41333 inter=27352
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=3575 nz=16179 z=0 intra=10657 inter=1764
+    intra[chunk_barrier_idle=2437,output_backpressure=0,prefix_encoder_wait=1800,unit_underfill=6420] joins=2250
+    slow4 compute=7718 nz=16179 z=0 intra=28993 inter=16572
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=3528 nz=16179 z=0 intra=10433 inter=1612
+    intra[chunk_barrier_idle=2213,output_backpressure=0,prefix_encoder_wait=1800,unit_underfill=6420] joins=2250
+    slow4 compute=7830 nz=16179 z=0 intra=29253 inter=17208
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+d=65 chunk=256 macs=16179
+  One-sided compute=7539 nz=16179 z=29051 intra=11746 inter=3336
+    intra[output_backpressure=0,prefix_encoder_wait=2700,unit_underfill=9046] joins=2250
+    slow4 compute=25848 nz=16179 z=29051 intra=88318 inter=73236
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=3770 nz=16179 z=0 intra=12321 inter=1660
+    intra[chunk_barrier_idle=5636,empty_mask_and=29,output_backpressure=0,prefix_encoder_wait=2700,unit_underfill=3956] joins=2250
+    slow4 compute=10608 nz=16179 z=0 intra=41333 inter=27352
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=3575 nz=16179 z=0 intra=10657 inter=1764
+    intra[chunk_barrier_idle=2437,output_backpressure=0,prefix_encoder_wait=1800,unit_underfill=6420] joins=2250
+    slow4 compute=7718 nz=16179 z=0 intra=28993 inter=16572
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=3528 nz=16179 z=0 intra=10433 inter=1612
+    intra[chunk_barrier_idle=2213,output_backpressure=0,prefix_encoder_wait=1800,unit_underfill=6420] joins=2250
+    slow4 compute=7830 nz=16179 z=0 intra=29253 inter=17208
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+d=130 chunk=64 macs=36923
+  One-sided compute=20172 nz=36923 z=67693 intra=46536 inter=10224
+    intra[output_backpressure=0,prefix_encoder_wait=11664,unit_underfill=34872] joins=8748
+    slow4 compute=49932 nz=36923 z=67693 intra=175800 inter=119040
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=10804 nz=36923 z=0 intra=44049 inter=5460
+    intra[chunk_barrier_idle=13820,empty_mask_and=487,output_backpressure=0,prefix_encoder_wait=11664,unit_underfill=18078] joins=8748
+    slow4 compute=20595 nz=36923 z=0 intra=88673 inter=39164
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=7930 nz=36923 z=0 intra=22581 inter=3936
+    intra[chunk_barrier_idle=6641,empty_mask_and=340,output_backpressure=0,prefix_encoder_wait=7776,unit_underfill=7824] joins=8748
+    slow4 compute=18603 nz=36923 z=0 intra=69209 inter=42692
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=7784 nz=36923 z=0 intra=21445 inter=3904
+    intra[chunk_barrier_idle=5618,empty_mask_and=227,output_backpressure=0,prefix_encoder_wait=7776,unit_underfill=7824] joins=8748
+    slow4 compute=18227 nz=36923 z=0 intra=67121 inter=41772
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+d=130 chunk=128 macs=36923
+  One-sided compute=19686 nz=36923 z=67693 intra=42648 inter=10224
+    intra[output_backpressure=0,prefix_encoder_wait=7776,unit_underfill=34872] joins=5832
+    slow4 compute=49446 nz=36923 z=67693 intra=171912 inter=119040
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=10165 nz=36923 z=0 intra=38985 inter=5412
+    intra[chunk_barrier_idle=12664,empty_mask_and=467,output_backpressure=0,prefix_encoder_wait=7776,unit_underfill=18078] joins=5832
+    slow4 compute=20086 nz=36923 z=0 intra=84081 inter=39684
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=7411 nz=36923 z=0 intra=18449 inter=3916
+    intra[chunk_barrier_idle=5101,empty_mask_and=340,output_backpressure=0,prefix_encoder_wait=5184,unit_underfill=7824] joins=5832
+    slow4 compute=18279 nz=36923 z=0 intra=65837 inter=43472
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=7240 nz=36923 z=0 intra=17277 inter=3720
+    intra[chunk_barrier_idle=4042,empty_mask_and=227,output_backpressure=0,prefix_encoder_wait=5184,unit_underfill=7824] joins=5832
+    slow4 compute=18139 nz=36923 z=0 intra=64593 inter=43596
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+d=130 chunk=256 macs=36923
+  One-sided compute=19200 nz=36923 z=67693 intra=38760 inter=10224
+    intra[output_backpressure=0,prefix_encoder_wait=3888,unit_underfill=34872] joins=2916
+    slow4 compute=48960 nz=36923 z=67693 intra=168024 inter=119040
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-no-GB compute=9636 nz=36923 z=0 intra=34785 inter=5380
+    intra[chunk_barrier_idle=12819,output_backpressure=0,prefix_encoder_wait=3888,unit_underfill=18078] joins=2916
+    slow4 compute=19541 nz=36923 z=0 intra=79785 inter=39620
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen-GB-S compute=7045 nz=36923 z=0 intra=15529 inter=3908
+    intra[chunk_barrier_idle=5113,output_backpressure=0,prefix_encoder_wait=2592,unit_underfill=7824] joins=2916
+    slow4 compute=17931 nz=36923 z=0 intra=62981 inter=43544
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+  SparTen compute=6883 nz=36923 z=0 intra=14397 inter=3744
+    intra[chunk_barrier_idle=3981,output_backpressure=0,prefix_encoder_wait=2592,unit_underfill=7824] joins=2916
+    slow4 compute=17795 nz=36923 z=0 intra=61789 inter=43648
+    stuck err compute unit 3 in cluster 1 is stuck with assigned work
+";
+    assert_eq!(got, expected, "golden snapshot drifted; actual:\n{got}");
+}
