@@ -3,7 +3,7 @@
 //! (red curve) versus the collocated pair densities after GB-H (blue curve).
 
 use sparten::core::balance::paired_chunk_densities;
-use sparten::core::chunking::filter_to_chunks;
+use sparten::core::chunking::filter_chunk_nnz;
 use sparten::nn::alexnet;
 use crate::{print_series, SEED};
 
@@ -17,7 +17,7 @@ pub fn run() {
     let mut singles: Vec<f64> = w
         .filters
         .iter()
-        .map(|f| filter_to_chunks(f, chunk).chunks()[0].density())
+        .map(|f| filter_chunk_nnz(f, chunk)[0] as f64 / chunk as f64)
         .collect();
     singles.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mut pairs = paired_chunk_densities(&w.filters, chunk, 0);

@@ -17,9 +17,8 @@
 //!   ([`GroupAssignment::chunk_routing`]).
 
 use sparten_nn::Filter;
-use sparten_tensor::SparseVector;
 
-use crate::chunking::filter_to_chunks;
+use crate::chunking::filter_chunk_nnz;
 
 /// Which greedy-balancing variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,12 +288,14 @@ fn gb_groups_k(
     per_chunk: bool,
     k: usize,
 ) -> Vec<GroupAssignment> {
-    // Whole-filter densities and (for GB-H) per-chunk densities.
+    // Whole-filter densities and (for GB-H) per-chunk non-zero counts:
+    // every padded chunk holds `chunk_size` cells, so sorting by count is
+    // sorting by chunk density.
     let whole: Vec<f64> = filters.iter().map(Filter::density).collect();
-    let sparse: Vec<SparseVector> = if per_chunk {
+    let chunk_nnz: Vec<Vec<u32>> = if per_chunk {
         filters
             .iter()
-            .map(|f| filter_to_chunks(f, chunk_size))
+            .map(|f| filter_chunk_nnz(f, chunk_size))
             .collect()
     } else {
         Vec::new()
@@ -310,11 +311,11 @@ fn gb_groups_k(
             let per_cu = collocate_k(&sorted, units, k);
             let produced_order = produced_from_per_cu(&per_cu);
             let per_chunk_cu = if per_chunk {
-                let num_chunks = sparse[group_ids[0]].num_chunks();
+                let num_chunks = chunk_nnz[group_ids[0]].len();
                 (0..num_chunks)
                     .map(|c| {
                         let mut by_chunk = group_ids.to_vec();
-                        sort_by_density(&mut by_chunk, |i| sparse[i].chunks()[c].density());
+                        sort_by_density(&mut by_chunk, |i| chunk_nnz[i][c] as f64);
                         collocate_k(&by_chunk, units, k)
                     })
                     .collect()
@@ -365,19 +366,15 @@ pub fn paired_chunk_densities(
     chunk_size: usize,
     chunk_index: usize,
 ) -> Vec<f64> {
-    let sparse: Vec<SparseVector> = filters
+    let density: Vec<f64> = filters
         .iter()
-        .map(|f| filter_to_chunks(f, chunk_size))
+        .map(|f| filter_chunk_nnz(f, chunk_size)[chunk_index] as f64 / chunk_size as f64)
         .collect();
     let mut ids: Vec<usize> = (0..filters.len()).collect();
-    sort_by_density(&mut ids, |i| sparse[i].chunks()[chunk_index].density());
+    sort_by_density(&mut ids, |i| density[i]);
     let m = ids.len();
     (0..m / 2)
-        .map(|u| {
-            let a = sparse[ids[u]].chunks()[chunk_index].density();
-            let b = sparse[ids[m - 1 - u]].chunks()[chunk_index].density();
-            (a + b) / 2.0
-        })
+        .map(|u| (density[ids[u]] + density[ids[m - 1 - u]]) / 2.0)
         .collect()
 }
 
@@ -402,8 +399,10 @@ pub fn utilization(per_barrier_unit_work: &[Vec<usize>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunking::filter_to_chunks;
     use sparten_nn::generate::random_filters;
     use sparten_nn::ConvShape;
+    use sparten_tensor::{SparseVector, Tensor3};
 
     fn filters(n: usize, density: f64, spread: f64, seed: u64) -> Vec<Filter> {
         let shape = ConvShape::new(64, 8, 8, 3, n, 1, 1);
@@ -564,6 +563,102 @@ mod tests {
             let mut dsts: Vec<usize> = mapping.iter().map(|&(_, d)| d).collect();
             dsts.sort_unstable();
             assert_eq!(dsts, (0..g.num_filters()).collect::<Vec<_>>());
+        }
+    }
+
+    /// Filters whose chunk densities tie: all-zero, fully dense and
+    /// duplicated filters among random ones.
+    fn tied_filters(d: usize) -> Vec<Filter> {
+        let shape = ConvShape::new(d, 8, 8, 3, 21, 1, 1);
+        let mut fs = random_filters(&shape, 0.4, 0.6, 24);
+        let mut dense = Tensor3::zeros(d, 3, 3);
+        for c in 0..d {
+            for fy in 0..3 {
+                for fx in 0..3 {
+                    dense.set(c, fx, fy, 1.0);
+                }
+            }
+        }
+        for i in [2, 11] {
+            fs[i] = Filter::new(Tensor3::zeros(d, 3, 3));
+        }
+        for i in [5, 17] {
+            fs[i] = Filter::new(dense.clone());
+        }
+        for (dst, src) in [(8, 3), (14, 3), (20, 9)] {
+            fs[dst] = fs[src].clone();
+        }
+        fs
+    }
+
+    #[test]
+    fn gbh_chunk_order_matches_sparse_vector_densities() {
+        // The reference sorts by `SparseVector` chunk density, as GB-H did
+        // before it sorted by non-zero count.
+        for (d, chunk) in [(64, 64), (70, 64), (130, 128), (100, 256)] {
+            let fs = tied_filters(d);
+            let sparse: Vec<SparseVector> = fs.iter().map(|f| filter_to_chunks(f, chunk)).collect();
+            let whole: Vec<f64> = fs.iter().map(Filter::density).collect();
+            for (units, k) in [(4, 2), (8, 2), (4, 1), (3, 3), (2, 4)] {
+                let b = LayerBalance::with_collocation(&fs, units, chunk, k, true);
+                let mut ids: Vec<usize> = (0..fs.len()).collect();
+                sort_by_density(&mut ids, |i| whole[i]);
+                let groups: Vec<&[usize]> = ids.chunks(k * units).collect();
+                assert_eq!(b.groups.len(), groups.len());
+                for (g, group_ids) in b.groups.iter().zip(groups) {
+                    let expect: Vec<Vec<Vec<usize>>> = (0..sparse[0].num_chunks())
+                        .map(|c| {
+                            let mut by_chunk = group_ids.to_vec();
+                            sort_by_density(&mut by_chunk, |i| sparse[i].chunks()[c].density());
+                            collocate_k(&by_chunk, units, k)
+                        })
+                        .collect();
+                    assert_eq!(
+                        g.per_chunk_cu, expect,
+                        "d={d} chunk={chunk} units={units} k={k}"
+                    );
+                }
+            }
+            assert_eq!(
+                LayerBalance::new(&fs, 4, chunk, BalanceMode::GbH),
+                LayerBalance::with_collocation(&fs, 4, chunk, 2, true)
+            );
+        }
+    }
+
+    #[test]
+    fn every_assignment_lists_one_entry_per_unit() {
+        // The simulators rely on this: no unit is missing from `per_cu` or
+        // from any `per_chunk_cu[c]`, so idle units are empty entries.
+        let fs = tied_filters(70);
+        let check = |b: &LayerBalance, units: usize, what: &str| {
+            for g in &b.groups {
+                assert_eq!(g.per_cu.len(), units, "{what}: per_cu");
+                for per_unit in &g.per_chunk_cu {
+                    assert_eq!(per_unit.len(), units, "{what}: per_chunk_cu");
+                }
+            }
+        };
+        for units in [1, 3, 4, 16, 32] {
+            for mode in [
+                BalanceMode::None,
+                BalanceMode::GbS,
+                BalanceMode::GbH,
+                BalanceMode::GbSNoColloc,
+            ] {
+                let b = LayerBalance::new(&fs, units, 64, mode);
+                check(&b, units, &format!("{mode:?} units={units}"));
+            }
+            for k in 1..=4 {
+                for per_chunk in [false, true] {
+                    let b = LayerBalance::with_collocation(&fs, units, 64, k, per_chunk);
+                    check(
+                        &b,
+                        units,
+                        &format!("k={k} per_chunk={per_chunk} units={units}"),
+                    );
+                }
+            }
         }
     }
 

@@ -73,6 +73,27 @@ pub fn filter_to_chunks(filter: &Filter, chunk_size: usize) -> SparseVector {
     SparseVector::from_dense(&linearize_filter_padded(filter, chunk_size), chunk_size)
 }
 
+/// Non-zero count of each chunk of the padded linearized filter, in the
+/// order of [`filter_to_chunks`] — a chunk's density is this count over
+/// `chunk_size` — without building the [`SparseVector`].
+///
+/// # Panics
+///
+/// Panics if `chunk_size == 0`.
+pub fn filter_chunk_nnz(filter: &Filter, chunk_size: usize) -> Vec<u32> {
+    assert!(chunk_size > 0, "chunk size must be positive");
+    let k = filter.kernel();
+    let mut nnz = Vec::with_capacity(chunks_per_window(filter.channels(), k, chunk_size));
+    for fy in 0..k {
+        for fx in 0..k {
+            for chunk in filter.weights().fiber(fx, fy).chunks(chunk_size) {
+                nnz.push(chunk.iter().filter(|&&v| v != 0.0).count() as u32);
+            }
+        }
+    }
+    nnz
+}
+
 /// Number of chunks in one window / filter: `k² · ⌈d / chunk⌉`.
 pub fn chunks_per_window(channels: usize, kernel: usize, chunk_size: usize) -> usize {
     kernel * kernel * channels.div_ceil(chunk_size)
@@ -138,6 +159,20 @@ mod tests {
         assert_eq!(chunks_per_window(512, 3, 128), 36);
         assert_eq!(chunks_per_window(3, 11, 128), 121);
         assert_eq!(chunks_per_window(192, 1, 128), 2);
+    }
+
+    #[test]
+    fn filter_chunk_nnz_matches_sparse_chunks() {
+        use sparten_nn::generate::random_filters;
+        use sparten_nn::ConvShape;
+        for (d, chunk) in [(6, 4), (5, 4), (64, 64), (65, 64), (130, 128)] {
+            let shape = ConvShape::new(d, 4, 4, 3, 3, 1, 0);
+            for f in &random_filters(&shape, 0.5, 0.3, 6) {
+                let sv = filter_to_chunks(f, chunk);
+                let nnz: Vec<u32> = sv.chunks().iter().map(|c| c.nnz() as u32).collect();
+                assert_eq!(filter_chunk_nnz(f, chunk), nnz, "d={d} chunk={chunk}");
+            }
+        }
     }
 
     #[test]

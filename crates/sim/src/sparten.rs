@@ -16,14 +16,17 @@
 //! with a non-zero input are multiplied) — the paper's proxy for Cnvlutin,
 //! Cambricon-X, and EIE's zero idling.
 //!
-//! Chunk work is obtained from [`MaskModel`]. Two-sided runs fill one
-//! [`MaskModel::work_row`] per output position — the AND + popcount work of
-//! every (chunk, filter) pair, computed once and shared by every group,
-//! chunk and unit of that position — and a unit's chunk work is the sum of
-//! that row over the filters in its slots. One-sided runs likewise take the
-//! input chunks' popcounts once per position. The structural circuit
-//! models remain the oracle the word-parallel kernels are differentially
-//! tested against.
+//! Chunk work is obtained from [`MaskModel`]. A two-sided run first folds
+//! its [`LayerBalance`] into a lane table: group `g` owns `slots · units`
+//! lanes per window chunk, lane `s · units + u` holding the mask of unit
+//! `u`'s slot-`s` filter (from `per_chunk_cu[c]` under GB-H, `per_cu`
+//! otherwise; missing slots are all-zero padding lanes). It then fills one
+//! [`MaskModel::lane_row`] per output position — the AND + popcount work of
+//! every lane, computed once — so a chunk barrier is a contiguous max over
+//! the group's lanes and the executed MACs are the row's sum. One-sided
+//! runs likewise take the input chunks' popcounts once per position. The
+//! structural circuit models remain the oracle the word-parallel kernels
+//! are differentially tested against.
 
 use sparten_core::balance::{BalanceMode, LayerBalance};
 use sparten_core::SimError;
@@ -160,12 +163,12 @@ fn simulate_sparten_inner(
 
     let probe = tel.map(|t| Probe::new(t, scheme_name(sparsity, mode)));
     let hist_barrier = probe.as_ref().map(|p| p.histogram("hist.chunk_barrier"));
-    // Scratch: per-unit (work, statically-empty) for the chunk just timed,
-    // filled only when probing.
-    let mut unit_scratch: Vec<(u64, bool)> = Vec::new();
-    // Per-position work: `row[c · F + f]` (two-sided) or the input chunks'
+    // Per-position work: a lane row (two-sided) or the input chunks'
     // popcounts (one-sided), shared by every group and unit.
-    let nf = shape.num_filters;
+    let lanes = match sparsity {
+        Sparsity::TwoSided => Some(LaneTable::new(model, &balance, units)),
+        Sparsity::OneSided => None,
+    };
     let mut row: Vec<u32> = Vec::new();
     let mut onesided = vec![0u64; chunks];
     let busy_per_group: Vec<u64> = balance
@@ -176,6 +179,8 @@ fn simulate_sparten_inner(
 
     for cluster in 0..num_clusters {
         let unit_fault = fault.filter(|f| f.cluster == cluster);
+        // A two-sided victim outside the cluster's units never fires.
+        let victim = unit_fault.filter(|f| f.unit < units);
         let lo = positions * cluster / num_clusters;
         let hi = positions * (cluster + 1) / num_clusters;
         let mut cycles = 0u64;
@@ -189,114 +194,96 @@ fn simulate_sparten_inner(
             sparten_telemetry::cancel::checkpoint();
             let pos_start = cycles;
             let (ox, oy) = (p % oh, p / oh);
-            match sparsity {
-                Sparsity::TwoSided => model.work_row(ox, oy, &mut row),
-                Sparsity::OneSided => {
-                    for (c, w) in onesided.iter_mut().enumerate() {
-                        *w = model.onesided_chunk_work(ox, oy, c) as u64;
+            if let Some(lanes) = &lanes {
+                model.lane_row(&lanes.masks, lanes.width, ox, oy, &mut row);
+                busy += row.iter().map(|&w| w as u64).sum::<u64>();
+                chunk_joins += lanes.joins;
+                permute_values += lanes.permutes;
+                for &(first, slots) in &lanes.groups {
+                    if slots == 0 {
+                        // No filter in the group: no broadcast reaches it.
+                        continue;
                     }
-                }
-            }
-            for (group, &busy_units) in balance.groups.iter().zip(&busy_per_group) {
-                if busy_units == 0 {
-                    continue;
-                }
-                for c in 0..chunks {
-                    match sparsity {
-                        Sparsity::OneSided => {
-                            let w = onesided[c];
-                            // The broadcast barrier advances at the victim's
-                            // stretched latency; useful work is unchanged.
-                            let mut barrier = w;
-                            if let Some(fa) = unit_fault {
-                                if (fa.unit as u64) < busy_units {
-                                    match fa.fault {
-                                        UnitFault::Slow(k) => barrier = w * k.max(1),
-                                        UnitFault::Stuck => {
-                                            if w > 0 {
-                                                return Err(SimError::StuckUnit {
-                                                    cluster,
-                                                    unit: fa.unit,
-                                                });
-                                            }
-                                        }
+                    for c in 0..chunks {
+                        let base = c * lanes.width + first;
+                        let lane = &row[base..base + slots * units];
+                        // The barrier sees each unit's *latency*: its true
+                        // work, stretched for a slow victim.
+                        let mut barrier = unit_max(lane, units) as u64;
+                        if let Some(fa) = victim {
+                            let w = unit_work(lane, units, fa.unit) as u64;
+                            match fa.fault {
+                                UnitFault::Slow(k) => barrier = barrier.max(w * k.max(1)),
+                                UnitFault::Stuck => {
+                                    if w > 0 {
+                                        return Err(SimError::StuckUnit {
+                                            cluster,
+                                            unit: fa.unit,
+                                        });
                                     }
                                 }
-                            }
-                            cycles += barrier + CHUNK_OVERHEAD;
-                            busy += w * busy_units;
-                            chunk_joins += busy_units;
-                            if let Some(h) = &hist_barrier {
-                                // All busy units share the input's popcount;
-                                // idle lanes, the broadcast overhead, and any
-                                // straggler stretch are the intra losses.
-                                tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
-                                tally.unit_underfill += barrier * (units as u64 - busy_units);
-                                tally.chunk_barrier_idle += (barrier - w) * busy_units;
-                                h.record(barrier);
                             }
                         }
-                        Sparsity::TwoSided => {
-                            let per_unit: &[Vec<usize>] = if group.per_chunk_cu.is_empty() {
-                                &group.per_cu
-                            } else {
-                                &group.per_chunk_cu[c]
-                            };
-                            let probing = hist_barrier.is_some();
-                            if probing {
-                                unit_scratch.clear();
+                        cycles += barrier + CHUNK_OVERHEAD;
+                        if let Some(h) = &hist_barrier {
+                            tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
+                            // A unit holds filters iff its slot-0 lane does.
+                            let held = &lanes.held[base..base + units];
+                            for (u, &holds) in held.iter().enumerate() {
+                                let w = unit_work(lane, units, u) as u64;
+                                if !holds {
+                                    // No filter assigned: idle lane.
+                                    tally.unit_underfill += barrier;
+                                } else if w == 0 {
+                                    // Held filters, but the mask AND came
+                                    // up empty for this chunk.
+                                    tally.empty_mask_and += barrier;
+                                } else {
+                                    tally.chunk_barrier_idle += barrier - w;
+                                }
                             }
-                            let chunk_row = &row[c * nf..(c + 1) * nf];
-                            let mut chunk_max = 0u64;
-                            for (u, slots) in per_unit.iter().enumerate() {
-                                let w: u64 = slots.iter().map(|&f| chunk_row[f] as u64).sum();
-                                busy += w;
-                                // The barrier sees the unit's *latency*: its
-                                // true work, stretched for a slow victim.
-                                let mut latency = w;
-                                if let Some(fa) = unit_fault {
-                                    if fa.unit == u {
-                                        match fa.fault {
-                                            UnitFault::Slow(k) => latency = w * k.max(1),
-                                            UnitFault::Stuck => {
-                                                if w > 0 {
-                                                    return Err(SimError::StuckUnit {
-                                                        cluster,
-                                                        unit: u,
-                                                    });
-                                                }
-                                            }
+                            h.record(barrier);
+                        }
+                    }
+                }
+            } else {
+                for (c, w) in onesided.iter_mut().enumerate() {
+                    *w = model.onesided_chunk_work(ox, oy, c) as u64;
+                }
+                for &busy_units in &busy_per_group {
+                    if busy_units == 0 {
+                        continue;
+                    }
+                    for &w in &onesided {
+                        // The broadcast barrier advances at the victim's
+                        // stretched latency; useful work is unchanged.
+                        let mut barrier = w;
+                        if let Some(fa) = unit_fault {
+                            if (fa.unit as u64) < busy_units {
+                                match fa.fault {
+                                    UnitFault::Slow(k) => barrier = w * k.max(1),
+                                    UnitFault::Stuck => {
+                                        if w > 0 {
+                                            return Err(SimError::StuckUnit {
+                                                cluster,
+                                                unit: fa.unit,
+                                            });
                                         }
                                     }
                                 }
-                                chunk_max = chunk_max.max(latency);
-                                chunk_joins += slots.len() as u64;
-                                if probing {
-                                    unit_scratch.push((w, slots.is_empty()));
-                                }
                             }
-                            cycles += chunk_max + CHUNK_OVERHEAD;
-                            if !group.per_chunk_cu.is_empty() {
-                                permute_values += group.num_filters() as u64;
-                            }
-                            if let Some(h) = &hist_barrier {
-                                tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
-                                for &(w, empty_slot) in &unit_scratch {
-                                    if empty_slot {
-                                        // No filter assigned: idle lane.
-                                        tally.unit_underfill += chunk_max;
-                                    } else if w == 0 {
-                                        // Held filters, but the mask AND
-                                        // came up empty for this chunk.
-                                        tally.empty_mask_and += chunk_max;
-                                    } else {
-                                        tally.chunk_barrier_idle += chunk_max - w;
-                                    }
-                                }
-                                tally.unit_underfill +=
-                                    (units as u64 - per_unit.len() as u64) * chunk_max;
-                                h.record(chunk_max);
-                            }
+                        }
+                        cycles += barrier + CHUNK_OVERHEAD;
+                        busy += w * busy_units;
+                        chunk_joins += busy_units;
+                        if let Some(h) = &hist_barrier {
+                            // All busy units share the input's popcount;
+                            // idle lanes, the broadcast overhead, and any
+                            // straggler stretch are the intra losses.
+                            tally.prefix_encoder_wait += CHUNK_OVERHEAD * units as u64;
+                            tally.unit_underfill += barrier * (units as u64 - busy_units);
+                            tally.chunk_barrier_idle += (barrier - w) * busy_units;
+                            h.record(barrier);
                         }
                     }
                 }
@@ -392,6 +379,103 @@ fn simulate_sparten_inner(
             crossbar_ops: 0,
         },
     })
+}
+
+/// A two-sided schedule's lane table: the [`LayerBalance`] folded into the
+/// mask layout once per simulation, so [`MaskModel::lane_row`] yields each
+/// position's work already in unit-slot order.
+struct LaneTable {
+    /// Lanes per window chunk, over all groups.
+    width: usize,
+    /// Lane masks for [`MaskModel::lane_row`].
+    masks: Vec<u64>,
+    /// Per group: its first lane and slots per unit. Group lane
+    /// `s · units + u` is unit `u`'s slot `s`.
+    groups: Vec<(usize, usize)>,
+    /// `held[c · width + j]`: lane `j` carries a filter at chunk `c`.
+    held: Vec<bool>,
+    /// Filter chunk joins per output position (the held lanes).
+    joins: u64,
+    /// Partial sums GB-H routes through the permutation network per
+    /// output position: each GB-H group's filters, once per chunk.
+    permutes: u64,
+}
+
+impl LaneTable {
+    /// # Panics
+    ///
+    /// Panics if `balance` was built for a unit count other than `units`.
+    fn new(model: &MaskModel, balance: &LayerBalance, units: usize) -> Self {
+        let chunks = model.chunks_per_window();
+        let mut groups = Vec::with_capacity(balance.groups.len());
+        let mut width = 0;
+        for g in &balance.groups {
+            let slots = g
+                .per_cu
+                .iter()
+                .chain(g.per_chunk_cu.iter().flatten())
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0);
+            groups.push((width, slots));
+            width += slots * units;
+        }
+        let mut filters: Vec<Option<usize>> = vec![None; chunks * width];
+        let mut permutes = 0u64;
+        for (g, &(first, _)) in balance.groups.iter().zip(&groups) {
+            if !g.per_chunk_cu.is_empty() {
+                permutes += (g.num_filters() * chunks) as u64;
+            }
+            for c in 0..chunks {
+                let per_unit = if g.per_chunk_cu.is_empty() {
+                    &g.per_cu
+                } else {
+                    &g.per_chunk_cu[c]
+                };
+                assert_eq!(
+                    per_unit.len(),
+                    units,
+                    "balance assignment built for another unit count"
+                );
+                for (u, unit_slots) in per_unit.iter().enumerate() {
+                    for (s, &f) in unit_slots.iter().enumerate() {
+                        filters[c * width + first + s * units + u] = Some(f);
+                    }
+                }
+            }
+        }
+        let held: Vec<bool> = filters.iter().map(Option::is_some).collect();
+        LaneTable {
+            width,
+            masks: model.lane_masks(width, |c, j| filters[c * width + j]),
+            groups,
+            joins: held.iter().filter(|&&h| h).count() as u64,
+            held,
+            permutes,
+        }
+    }
+}
+
+/// The slowest unit's work in one (group, chunk) of a lane row, where
+/// `lane[s · units + u]` is unit `u`'s slot `s`.
+#[inline]
+fn unit_max(lane: &[u32], units: usize) -> u32 {
+    match lane.len() / units {
+        1 => lane.iter().copied().fold(0, u32::max),
+        2 => {
+            let (a, b) = lane.split_at(units);
+            a.iter().zip(b).map(|(x, y)| x + y).fold(0, u32::max)
+        }
+        _ => (0..units)
+            .map(|u| unit_work(lane, units, u))
+            .fold(0, u32::max),
+    }
+}
+
+/// Unit `u`'s work in one (group, chunk) of a lane row: its slots' sum.
+#[inline]
+fn unit_work(lane: &[u32], units: usize, u: usize) -> u32 {
+    lane[u..].iter().step_by(units).sum()
 }
 
 fn scheme_name(sparsity: Sparsity, mode: BalanceMode) -> &'static str {

@@ -20,6 +20,12 @@
 //! compiled with the `popcnt` instruction (the baseline target only has a
 //! software popcount); elsewhere the same generic body runs.
 //!
+//! The kernel is [`MaskModel::lane_row`], which reads any *lane table* with
+//! the same per-chunk layout: [`MaskModel::lane_masks`] copies filter masks
+//! into caller-chosen lanes (a SparTen schedule's unit-slot order, with
+//! all-zero padding lanes), and `work_row` is its call on the identity
+//! table, one lane per filter.
+//!
 //! There is deliberately no whole-layer work table: one row is
 //! `k² · ⌈d/chunk⌉ · F` entries (72 KiB for a 512-filter, 512-channel 3×3
 //! layer), while a table for every position of a VGG layer would hold tens
@@ -199,53 +205,95 @@ impl MaskModel {
     /// Two-sided join work of output `(ox, oy)` for every chunk and filter:
     /// on return `row[c · F + f] == chunk_work(ox, oy, f, c)` for every
     /// window chunk `c` and filter `f` (`row` is resized to
-    /// `chunks_per_window() · F`).
+    /// `chunks_per_window() · F`). The identity-table [`MaskModel::lane_row`].
     pub fn work_row(&self, ox: usize, oy: usize, row: &mut Vec<u32>) {
-        row.resize(self.chunks_per_window() * self.shape.num_filters, 0);
+        self.lane_row(&self.filter_major, self.shape.num_filters, ox, oy, row);
+    }
+
+    /// Builds a lane table for [`MaskModel::lane_row`]: lane `j` of window
+    /// chunk `c` holds filter `lane_filter(c, j)`'s chunk-`c` mask, and a
+    /// `None` lane stays all-zero (a padding lane, whose work is always 0).
+    pub fn lane_masks(
+        &self,
+        lanes: usize,
+        lane_filter: impl Fn(usize, usize) -> Option<usize>,
+    ) -> Vec<u64> {
+        let wpc = self.words_per_chunk;
+        let mut masks = vec![0u64; self.chunks_per_window() * lanes * wpc];
+        for (i, lane) in masks.chunks_exact_mut(wpc).enumerate() {
+            let c = i / lanes;
+            if let Some(f) = lane_filter(c, i % lanes) {
+                lane.copy_from_slice(self.filter_chunk(f, c));
+            }
+        }
+        masks
+    }
+
+    /// Two-sided join work of output `(ox, oy)` for every chunk and lane of
+    /// a table from [`MaskModel::lane_masks`]: on return `row[c · lanes +
+    /// j]` is the AND + popcount of lane `j`'s chunk-`c` mask with the
+    /// input window (`row` is resized to `chunks_per_window() · lanes`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` does not hold `lanes` masks per window chunk.
+    pub fn lane_row(&self, masks: &[u64], lanes: usize, ox: usize, oy: usize, row: &mut Vec<u32>) {
+        assert_eq!(
+            masks.len(),
+            self.chunks_per_window() * lanes * self.words_per_chunk,
+            "mask table does not match the lane count"
+        );
+        row.resize(self.chunks_per_window() * lanes, 0);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("popcnt") {
             // SAFETY: the running CPU supports `popcnt`, checked just above.
-            unsafe { self.work_row_popcnt(ox, oy, row) };
+            unsafe { self.lane_row_popcnt(masks, lanes, ox, oy, row) };
             return;
         }
-        self.work_row_body(ox, oy, row);
+        self.lane_row_body(masks, lanes, ox, oy, row);
     }
 
-    /// [`MaskModel::work_row_body`] compiled with the `popcnt` instruction.
+    /// [`MaskModel::lane_row_body`] compiled with the `popcnt` instruction.
     ///
     /// # Safety
     ///
     /// The running CPU must support `popcnt`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    unsafe fn work_row_popcnt(&self, ox: usize, oy: usize, row: &mut [u32]) {
-        self.work_row_body(ox, oy, row);
+    unsafe fn lane_row_popcnt(
+        &self,
+        masks: &[u64],
+        lanes: usize,
+        ox: usize,
+        oy: usize,
+        row: &mut [u32],
+    ) {
+        self.lane_row_body(masks, lanes, ox, oy, row);
     }
 
     /// The row kernel both dispatch targets share; `row` is already sized.
     #[inline(always)]
-    fn work_row_body(&self, ox: usize, oy: usize, row: &mut [u32]) {
+    fn lane_row_body(&self, masks: &[u64], lanes: usize, ox: usize, oy: usize, row: &mut [u32]) {
         let k = self.shape.kernel;
-        let nf = self.shape.num_filters;
         let wpc = self.words_per_chunk;
         for tap in 0..k * k {
             let fiber = self.tap_fiber(ox, oy, tap % k, tap / k);
             for (sub, input) in fiber.chunks_exact(wpc).enumerate() {
                 let c = tap * self.chunks_per_fiber + sub;
-                let out = &mut row[c * nf..(c + 1) * nf];
+                let out = &mut row[c * lanes..(c + 1) * lanes];
                 // Prescan: an empty input chunk joins to nothing with
-                // every filter.
+                // every lane.
                 if input.iter().all(|&w| w == 0) {
                     out.fill(0);
                     continue;
                 }
-                let filters = &self.filter_major[c * nf * wpc..(c + 1) * nf * wpc];
+                let lane_words = &masks[c * lanes * wpc..(c + 1) * lanes * wpc];
                 if let [a0, a1] = *input {
-                    for (o, fw) in out.iter_mut().zip(filters.chunks_exact(2)) {
+                    for (o, fw) in out.iter_mut().zip(lane_words.chunks_exact(2)) {
                         *o = (a0 & fw[0]).count_ones() + (a1 & fw[1]).count_ones();
                     }
                 } else {
-                    for (o, fw) in out.iter_mut().zip(filters.chunks_exact(wpc)) {
+                    for (o, fw) in out.iter_mut().zip(lane_words.chunks_exact(wpc)) {
                         *o = input
                             .iter()
                             .zip(fw)
@@ -326,8 +374,8 @@ impl MaskModel {
         }
     }
 
-    /// Per-chunk filter-mask popcounts for filter `f` — GB-H's sort key and
-    /// the quantity Figure 14 plots.
+    /// Per-chunk filter-mask popcounts for filter `f`, read from the masks
+    /// (`chunking::filter_chunk_nnz` counts the same from the weights).
     pub fn filter_chunk_nnz(&self, f: usize) -> Vec<u32> {
         (0..self.chunks_per_window())
             .map(|c| popcount_words(self.filter_chunk(f, c)))
