@@ -251,6 +251,27 @@ pub fn run_benchmarks(opts: &BenchOptions, extras: Vec<ExtraBench<'_>>) -> Bench
             std::hint::black_box(&row);
         },
     );
+    // The whole layer's two-sided MAC total on the same channels and
+    // filters over VGG's smallest (14×14) plane: Σ work_row over every
+    // position against the bit-sliced count (on a fresh, uncached clone).
+    let macs_shape = ConvShape::new(256, 14, 14, 3, 512, 1, 1);
+    let macs_model = MaskModel::new(&workload(&macs_shape, 0.35, 0.3, crate::SEED), 128);
+    kernel(
+        "kernel/total-macs",
+        &mut || {
+            let mut total = 0u64;
+            for oy in 0..macs_shape.out_width() {
+                for ox in 0..macs_shape.out_height() {
+                    macs_model.work_row(ox, oy, &mut row);
+                    total += row.iter().map(|&w| u64::from(w)).sum::<u64>();
+                }
+            }
+            std::hint::black_box(total);
+        },
+        &mut || {
+            std::hint::black_box(macs_model.clone().total_sparse_macs());
+        },
+    );
 
     // ---- Macro fixtures: a small seeded layer shared by all schemes. ----
     let shape = ConvShape::new(64, 8, 8, 3, 8, 1, 1);

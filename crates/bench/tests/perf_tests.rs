@@ -60,6 +60,7 @@ fn artifact_schema_and_registry_are_pinned() {
             "kernel/inner-join-128",
             "kernel/compact-32",
             "kernel/work-row",
+            "kernel/total-macs",
         ],
         "kernel registry changed — update the golden list AND the baseline"
     );

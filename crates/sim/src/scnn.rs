@@ -7,8 +7,15 @@
 //! its 4×4 multiplier array, taking `⌈I/4⌉·⌈F/4⌉` cycles and computing all
 //! I·F products, which a crossbar scatters to accumulators. The filter-group
 //! broadcast imposes an inter-PE barrier at every (channel, group) step.
-//! Per-region non-zero counts come from [`MaskModel`], whose inner loops
-//! run on the word-parallel `sparten_arch::fast` kernels.
+//!
+//! The loop never walks tiles per step. Each step's filter term ⌈F/4⌉ is
+//! the same on every PE, so a PE's step cost factors into that term times
+//! the PE's per-channel input term Σ_tiles ⌈I/4⌉. Both terms are counted
+//! once from the workload. A step is then one multiply by the channel's
+//! precomputed barrier max, and the per-PE busy totals are one sum over
+//! channels at the end. Per-tile values are walked only under a telemetry
+//! probe, which records each tile's step cycles and quantization loss.
+//! The true MAC count comes from [`MaskModel::total_sparse_macs`].
 //!
 //! Captured overheads, matching §2.1.1 and the Figure 10–12 decomposition:
 //!
@@ -154,15 +161,13 @@ fn simulate_scnn_inner(
         }
     }
     let num_tiles = tile_bounds.len();
+    let dense_input = variant == ScnnVariant::Dense;
     let mut tile_channel_nnz = vec![0u32; num_tiles * d];
-    for (t, &(sx, sl, sy, swl)) in tile_bounds.iter().enumerate() {
+    for (counts, &(sx, sl, sy, swl)) in tile_channel_nnz.chunks_exact_mut(d).zip(&tile_bounds) {
         for y in sy..sy + swl {
             for x in sx..sx + sl {
-                for (z, &v) in workload.input.fiber(x, y).iter().enumerate() {
-                    let dense_input = variant == ScnnVariant::Dense;
-                    if v != 0.0 || dense_input {
-                        tile_channel_nnz[t * d + z] += 1;
-                    }
+                for (n, &v) in counts.iter_mut().zip(workload.input.fiber(x, y)) {
+                    *n += u32::from(v != 0.0 || dense_input);
                 }
             }
         }
@@ -170,20 +175,51 @@ fn simulate_scnn_inner(
 
     // Per-(group, channel) filter non-zero counts (summed over the group's
     // filters and all k² taps).
+    let dense_filters = matches!(variant, ScnnVariant::OneSided | ScnnVariant::Dense);
     let mut group_channel_nnz = vec![0u32; groups * d];
     for (f, filter) in workload.filters.iter().enumerate() {
         let g = f / scnn.output_group;
-        let dense_filters = matches!(variant, ScnnVariant::OneSided | ScnnVariant::Dense);
-        for fy in 0..k {
-            for fx in 0..k {
-                for (z, &v) in filter.weights().fiber(fx, fy).iter().enumerate() {
-                    if v != 0.0 || dense_filters {
-                        group_channel_nnz[g * d + z] += 1;
-                    }
-                }
+        let counts = &mut group_channel_nnz[g * d..(g + 1) * d];
+        for tap in 0..k * k {
+            let fiber = filter.weights().fiber(tap % k, tap / k);
+            for (n, &v) in counts.iter_mut().zip(fiber) {
+                *n += u32::from(v != 0.0 || dense_filters);
             }
         }
     }
+
+    // A (group, channel) step broadcasts the group's ⌈F/4⌉ filter batches
+    // to every PE, so PE `pe` spends `fb · pe_batches[c · PEs + pe]`
+    // cycles on it, where `pe_batches` sums ⌈I/4⌉ over the PE's tiles.
+    let pes = scnn.num_pes;
+    let mut pe_batches = vec![0u64; d * pes];
+    let mut channel_nnz = vec![0u64; d];
+    for (counts, &owner) in tile_channel_nnz.chunks_exact(d).zip(&tile_owner) {
+        for (c, &i_nnz) in counts.iter().enumerate() {
+            pe_batches[c * pes + owner] += u64::from(i_nnz).div_ceil(i_edge);
+            channel_nnz[c] += u64::from(i_nnz);
+        }
+    }
+    // The barrier advances at the slowest PE's *latency* — a slow victim
+    // stretches only the barrier, its busy-slot accounting keeps the true
+    // cycle count — so one filter batch of channel `c` costs `barrier[c]`.
+    let victim = fault.filter(|fa| fa.cluster < pes);
+    let barrier: Vec<u64> = pe_batches
+        .chunks_exact(pes)
+        .map(|batches| {
+            let mut b = batches.iter().copied().max().unwrap_or(0);
+            if let Some(&UnitFaultSpec {
+                cluster,
+                fault: UnitFault::Slow(k),
+                ..
+            }) = victim
+            {
+                b = b.max(batches[cluster] * k.max(1));
+            }
+            b
+        })
+        .collect();
+    let stuck = victim.filter(|fa| fa.fault == UnitFault::Stuck);
 
     // Main timing loop: one barrier per (group, channel).
     let probe = tel.map(|t| Probe::new(t, variant.name()));
@@ -191,74 +227,55 @@ fn simulate_scnn_inner(
     let mut tally = StallTally::default();
 
     let mut makespan = 0u64;
-    let mut busy_slots = vec![0u64; scnn.num_pes];
-    let mut pe_cycles_total = vec![0u64; scnn.num_pes];
     let mut total_products = 0u64;
+    let mut channel_batches = vec![0u64; d];
     let slots_per_cycle = (scnn.mult_edge * scnn.mult_edge) as u64;
-    let mut pe_cycles = vec![0u64; scnn.num_pes];
     for g in 0..groups {
+        // A filter group's channels are SCNN's chunk batch; honor a
+        // cooperative cancellation here like the SparTen inner loop.
+        sparten_telemetry::cancel::checkpoint();
         for c in 0..d {
-            // One (group, channel) barrier is SCNN's chunk batch; honor a
-            // cooperative cancellation here like the SparTen inner loop.
-            sparten_telemetry::cancel::checkpoint();
-            let f_nnz = group_channel_nnz[g * d + c] as u64;
-            pe_cycles.iter_mut().for_each(|v| *v = 0);
-            if f_nnz > 0 {
-                let f_batches = f_nnz.div_ceil(f_edge);
-                for (t, &owner) in tile_owner.iter().enumerate() {
-                    let i_nnz = tile_channel_nnz[t * d + c] as u64;
-                    if i_nnz == 0 {
-                        continue;
-                    }
-                    let cycles = i_nnz.div_ceil(i_edge) * f_batches;
-                    pe_cycles[owner] += cycles;
-                    total_products += i_nnz * f_nnz;
-                    if let Some(h) = &hist_step {
-                        // Idle multiplier-array slots from the ⌈I/4⌉·⌈F/4⌉
-                        // quantization of this tile's batch.
-                        tally.multiplier_quantization +=
-                            cycles * slots_per_cycle - i_nnz * f_nnz;
+            let f_nnz = u64::from(group_channel_nnz[g * d + c]);
+            let fb = f_nnz.div_ceil(f_edge);
+            if let Some(fa) = stuck {
+                if fb > 0 && pe_batches[c * pes + fa.cluster] > 0 {
+                    return Err(SimError::StuckUnit {
+                        cluster: fa.cluster,
+                        unit: 0,
+                    });
+                }
+            }
+            makespan += fb * barrier[c];
+            total_products += f_nnz * channel_nnz[c];
+            channel_batches[c] += fb;
+            if let Some(h) = hist_step.as_ref().filter(|_| fb > 0) {
+                // Idle multiplier-array slots from the ⌈I/4⌉·⌈F/4⌉
+                // quantization of each tile's batch.
+                for counts in tile_channel_nnz.chunks_exact(d) {
+                    let i_nnz = u64::from(counts[c]);
+                    if i_nnz > 0 {
+                        let cycles = i_nnz.div_ceil(i_edge) * fb;
+                        tally.multiplier_quantization += cycles * slots_per_cycle - i_nnz * f_nnz;
                         h.record(cycles);
                     }
                 }
             }
-            // The (group, channel) barrier advances at the slowest PE's
-            // *latency* — a slow victim stretches only the barrier, its
-            // busy-slot accounting keeps the true cycle count.
-            let mut barrier = 0u64;
-            for (pe, &cy) in pe_cycles.iter().enumerate() {
-                let mut latency = cy;
-                if let Some(fa) = fault {
-                    if fa.cluster == pe {
-                        match fa.fault {
-                            UnitFault::Slow(k) => latency = cy * k.max(1),
-                            UnitFault::Stuck => {
-                                if cy > 0 {
-                                    return Err(SimError::StuckUnit {
-                                        cluster: pe,
-                                        unit: 0,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                barrier = barrier.max(latency);
-            }
-            makespan += barrier;
-            for (pe, &cy) in pe_cycles.iter().enumerate() {
-                busy_slots[pe] += cy * slots_per_cycle;
-                pe_cycles_total[pe] += cy;
-            }
         }
     }
+    let pe_cycles_total: Vec<u64> = (0..pes)
+        .map(|pe| {
+            (0..d)
+                .map(|c| channel_batches[c] * pe_batches[c * pes + pe])
+                .sum()
+        })
+        .collect();
 
     // Useful MACs are the true stride-aware sparse MACs; the Cartesian
     // product's surplus (stride discard + border waste + zero operands in
     // the one-sided/dense variants) is the "zero" component.
     let nonzero = model.total_sparse_macs().min(total_products);
     let zero = total_products - nonzero;
-    let total_busy: u64 = busy_slots.iter().sum();
+    let total_busy = pe_cycles_total.iter().sum::<u64>() * slots_per_cycle;
     let intra = total_busy - total_products;
     let inter: u64 = pe_cycles_total
         .iter()
@@ -272,11 +289,12 @@ fn simulate_scnn_inner(
     if let Some(pr) = &probe {
         for (pe, &cy) in pe_cycles_total.iter().enumerate() {
             pr.thread(pe as u32, &format!("pe{pe}"));
-            pr.span(pe as u32, "pe", 0, cy, &[("busy_slots", busy_slots[pe])]);
+            let busy_slots = cy * slots_per_cycle;
+            pr.span(pe as u32, "pe", 0, cy, &[("busy_slots", busy_slots)]);
             if makespan > 0 {
                 pr.gauge(
                     "occupancy.pe_util",
-                    busy_slots[pe] as f64 / (makespan * slots_per_cycle) as f64,
+                    busy_slots as f64 / (makespan * slots_per_cycle) as f64,
                 );
             }
         }

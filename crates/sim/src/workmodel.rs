@@ -26,6 +26,15 @@
 //! all-zero padding lanes), and `work_row` is its call on the identity
 //! table, one lane per filter.
 //!
+//! The build itself works a word at a time: each 64-cell run of an input
+//! or filter fiber becomes one `u64` through a branch-free fold, and the
+//! non-zero counts are popcounts of the finished words. The layer's total
+//! MAC count ([`MaskModel::total_sparse_macs`]) needs no per-filter work
+//! per position: the filter masks of each window chunk are summed once
+//! into `⌈log2(F+1)⌉` bit planes of per-cell filter counts, and a
+//! position's work is the plane-weighted popcount of its input chunk ANDed
+//! with each plane.
+//!
 //! There is deliberately no whole-layer work table: one row is
 //! `k² · ⌈d/chunk⌉ · F` entries (72 KiB for a 512-filter, 512-channel 3×3
 //! layer), while a table for every position of a VGG layer would hold tens
@@ -88,38 +97,30 @@ impl MaskModel {
 
         let (h, w) = (shape.in_height, shape.in_width);
         let mut input_words = vec![0u64; h * w * words_per_fiber];
-        let mut input_nnz = 0u64;
         for y in 0..w {
             for x in 0..h {
                 let base = (x + h * y) * words_per_fiber;
-                for (z, &v) in workload.input.fiber(x, y).iter().enumerate() {
-                    if v != 0.0 {
-                        input_words[base + z / 64] |= 1 << (z % 64);
-                        input_nnz += 1;
-                    }
+                for (j, cells) in workload.input.fiber(x, y).chunks(64).enumerate() {
+                    input_words[base + j] = mask_word(cells);
                 }
             }
         }
+        let input_nnz = popcount_total(&input_words);
 
         let k = shape.kernel;
         let nf = shape.num_filters;
         let mut filter_major = vec![0u64; nf * k * k * words_per_fiber];
-        let mut weight_nnz = 0u64;
         for (f, filter) in workload.filters.iter().enumerate() {
-            for fy in 0..k {
-                for fx in 0..k {
-                    let tap = fy * k + fx;
-                    for (z, &v) in filter.weights().fiber(fx, fy).iter().enumerate() {
-                        if v != 0.0 {
-                            let c = tap * chunks_per_fiber + z / chunk_size;
-                            let word = (z % chunk_size) / 64;
-                            filter_major[(c * nf + f) * words_per_chunk + word] |= 1 << (z % 64);
-                            weight_nnz += 1;
-                        }
-                    }
+            for tap in 0..k * k {
+                let fiber = filter.weights().fiber(tap % k, tap / k);
+                for (j, cells) in fiber.chunks(64).enumerate() {
+                    let c = tap * chunks_per_fiber + j / words_per_chunk;
+                    filter_major[(c * nf + f) * words_per_chunk + j % words_per_chunk] =
+                        mask_word(cells);
                 }
             }
         }
+        let weight_nnz = popcount_total(&filter_major);
 
         MaskModel {
             shape,
@@ -332,21 +333,120 @@ impl MaskModel {
     }
 
     /// Total two-sided MACs of the layer — the true sparse compute volume,
-    /// summed over every position's [`MaskModel::work_row`]. Cached after
-    /// the first call (several simulators share it).
+    /// equal to the sum of every position's [`MaskModel::work_row`].
+    /// Cached after the first call (several simulators share it).
+    ///
+    /// Bit-sliced: Σ_f popcount(in & f) = Σ_p 2^p · popcount(in & plane_p),
+    /// where plane `p` of a window chunk holds bit `p` of the number of
+    /// filters non-zero at each cell. So each position costs `P =
+    /// ⌈log2(F+1)⌉` AND + popcounts per chunk word instead of `F`.
     pub fn total_sparse_macs(&self) -> u64 {
         *self.total_macs_cache.get_or_init(|| {
-            let (oh, ow) = (self.shape.out_height(), self.shape.out_width());
-            let mut row = Vec::new();
-            let mut total = 0u64;
-            for oy in 0..ow {
-                for ox in 0..oh {
-                    self.work_row(ox, oy, &mut row);
-                    total += row.iter().map(|&w| w as u64).sum::<u64>();
+            let planes = self.filter_count_planes();
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("popcnt") {
+                // SAFETY: the running CPU supports `popcnt`, checked just above.
+                return unsafe { self.plane_macs_popcnt(&planes) };
+            }
+            self.plane_macs_body(&planes)
+        })
+    }
+
+    /// The per-cell filter counts of every window chunk as bit planes:
+    /// `planes[(c · P + p) · words_per_chunk + w]` holds bit `p` of the
+    /// counts of word `w` of chunk `c`, summed with a bit-sliced adder over
+    /// the chunk's `F` filter masks. The count of one word lives in a local
+    /// array, and a full adder takes two filters per step: it leaves their
+    /// sum with plane 0 in plane 0 and ripples one carry through the rest.
+    fn filter_count_planes(&self) -> Vec<u64> {
+        let (nf, wpc) = (self.shape.num_filters, self.words_per_chunk);
+        let bits = self.plane_count();
+        let mut planes = vec![0u64; self.chunks_per_window() * bits * wpc];
+        for (c, chunk_planes) in planes.chunks_exact_mut(bits * wpc).enumerate() {
+            let masks = &self.filter_major[c * nf * wpc..(c + 1) * nf * wpc];
+            for w in 0..wpc {
+                let mut count = [0u64; 64];
+                let mut words = masks.iter().skip(w).step_by(wpc);
+                while let Some(&a) = words.next() {
+                    let b = words.next().copied().unwrap_or(0);
+                    let mut carry = (count[0] & a) | (b & (count[0] ^ a));
+                    count[0] ^= a ^ b;
+                    for plane in &mut count[1..bits] {
+                        let t = *plane & carry;
+                        *plane ^= carry;
+                        carry = t;
+                    }
+                }
+                for (p, &plane) in count[..bits].iter().enumerate() {
+                    chunk_planes[p * wpc + w] = plane;
                 }
             }
-            total
-        })
+        }
+        planes
+    }
+
+    /// Bit planes needed to count up to `F` filters: `⌈log2(F+1)⌉`.
+    fn plane_count(&self) -> usize {
+        (usize::BITS - self.shape.num_filters.leading_zeros()) as usize
+    }
+
+    /// [`MaskModel::plane_macs_body`] compiled with the `popcnt` instruction.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn plane_macs_popcnt(&self, planes: &[u64]) -> u64 {
+        self.plane_macs_body(planes)
+    }
+
+    /// Σ over window chunks and positions of the plane-weighted AND +
+    /// popcount, skipping all-zero input chunks. Taps are the outer loop,
+    /// so a chunk's planes stay hot across every position and only the
+    /// positions whose tap lands inside the input are visited.
+    #[inline(always)]
+    fn plane_macs_body(&self, planes: &[u64]) -> u64 {
+        let s = &self.shape;
+        let (k, wpc) = (s.kernel, self.words_per_chunk);
+        let bits = self.plane_count();
+        let mut total = 0u64;
+        for tap in 0..k * k {
+            let (tap_x, tap_y) = (tap % k, tap / k);
+            let xs = tap_outputs(tap_x, s.stride, s.pad, s.in_height, s.out_height());
+            let ys = tap_outputs(tap_y, s.stride, s.pad, s.in_width, s.out_width());
+            for sub in 0..self.chunks_per_fiber {
+                let c = tap * self.chunks_per_fiber + sub;
+                let chunk_planes = &planes[c * bits * wpc..(c + 1) * bits * wpc];
+                for oy in ys.clone() {
+                    let iy = oy * s.stride + tap_y - s.pad;
+                    for ox in xs.clone() {
+                        let ix = ox * s.stride + tap_x - s.pad;
+                        let base = (ix + s.in_height * iy) * self.words_per_fiber + sub * wpc;
+                        let input = &self.input_words[base..base + wpc];
+                        if input.iter().all(|&w| w == 0) {
+                            continue;
+                        }
+                        if let [a0, a1] = *input {
+                            for (p, plane) in chunk_planes.chunks_exact(2).enumerate() {
+                                let n = (a0 & plane[0]).count_ones() + (a1 & plane[1]).count_ones();
+                                total += u64::from(n) << p;
+                            }
+                            continue;
+                        }
+                        for (p, plane) in chunk_planes.chunks_exact(wpc).enumerate() {
+                            let n: u32 = input
+                                .iter()
+                                .zip(plane)
+                                .map(|(a, b)| (a & b).count_ones())
+                                .sum();
+                            total += u64::from(n) << p;
+                        }
+                    }
+                }
+            }
+        }
+        total
     }
 
     /// Non-zero weights of filter `f` alone.
@@ -381,6 +481,35 @@ impl MaskModel {
             .map(|c| popcount_words(self.filter_chunk(f, c)))
             .collect()
     }
+}
+
+/// The non-zero mask of up to 64 cells: bit `i` is set when `cells[i] !=
+/// 0.0` (so `-0.0` is a zero), built without a branch per cell.
+#[inline]
+fn mask_word(cells: &[f32]) -> u64 {
+    cells
+        .iter()
+        .enumerate()
+        .fold(0, |word, (i, &v)| word | (u64::from(v != 0.0) << i))
+}
+
+/// The outputs along one axis whose tap at offset `tap` reads an input
+/// cell inside `0..in_len`: `pad <= o · stride + tap < in_len + pad`.
+fn tap_outputs(
+    tap: usize,
+    stride: usize,
+    pad: usize,
+    in_len: usize,
+    out_len: usize,
+) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(tap).div_ceil(stride);
+    let hi = (in_len + pad).saturating_sub(tap).div_ceil(stride);
+    lo.min(out_len)..hi.min(out_len)
+}
+
+/// Set bits over a word slice.
+fn popcount_total(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Differential oracle for `MaskModel::work_row`, the per-position fast
-//! path every SparTen schedule and the total-MAC pass run on.
+//! path every SparTen schedule runs on and the reference the bit-sliced
+//! total-MAC count is checked against.
 //!
 //! Every entry `row[c · F + f]` of every output position is checked
 //! against two slower paths:

@@ -107,6 +107,9 @@ cargo test -q --release -p sparten-sim --features exhaustive-tests --test work_r
 echo "== schedule-lane oracle (release: full differential grid) =="
 cargo test -q --release -p sparten-sim --features exhaustive-tests --test schedule_lane_tests
 
+echo "== layer-prep oracle (release: full differential grid) =="
+cargo test -q --release -p sparten-sim --features exhaustive-tests --test layer_prep_tests
+
 echo "== bench smoke (quick registry, pinned schema, kernel speedups) =="
 # Write to a scratch path so the smoke never clobbers the committed
 # BENCH_sim.json baseline; --check-schema parses the artifact back.

@@ -438,3 +438,242 @@ d=130 chunk=256 macs=36923
 ";
     assert_eq!(got, expected, "golden snapshot drifted; actual:\n{got}");
 }
+
+/// Golden snapshot of the SCNN family on small strided, padded layers,
+/// under both the 16-PE and the 64-PE grid.
+///
+/// Pins every SCNN code path the barrier loop has: the clean run
+/// (compute cycles and breakdown), the instrumented run and its stall
+/// decomposition (`multiplier_quantization`, `pe_barrier_idle`), a
+/// `Slow(4)` PE and a `Stuck` PE, both holding work and outside the grid.
+/// Any change to how the per-(group, channel) barriers are computed or
+/// summed must leave these values unchanged; an intentional semantic
+/// change updates the snapshot from the failure output and bumps the
+/// harness cache format version.
+#[test]
+fn golden_values_scnn_strided_layers() {
+    use sparten::faults::{UnitFault, UnitFaultSpec};
+    use sparten::sim::{simulate_layer_telemetry, try_simulate_layer};
+    use sparten::telemetry::Telemetry;
+
+    let layers = [
+        ConvShape::new(65, 9, 9, 3, 10, 2, 1),
+        ConvShape::new(130, 10, 10, 3, 9, 2, 2),
+        ConvShape::new(20, 13, 11, 5, 17, 4, 2),
+        ConvShape::new(33, 5, 6, 1, 9, 1, 0),
+    ];
+    let schemes = [Scheme::Scnn, Scheme::ScnnOneSided, Scheme::ScnnDense];
+    let mut got = String::new();
+    for (li, shape) in layers.iter().enumerate() {
+        let w = workload(shape, 0.4, 0.35, 400 + li as u64);
+        for (cname, cfg) in [("small", SimConfig::small()), ("large", SimConfig::large())] {
+            let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
+            let pes = cfg.scnn.num_pes;
+            got.push_str(&format!("d={} {cname}\n", shape.in_channels));
+            for scheme in schemes {
+                let r = simulate_layer(&w, &model, &cfg, scheme);
+                let b = r.breakdown;
+                got.push_str(&format!(
+                    "  {} compute={} nz={} z={} intra={} inter={}\n",
+                    r.scheme, r.compute_cycles, b.nonzero, b.zero, b.intra, b.inter
+                ));
+
+                let session = Telemetry::new();
+                let t = simulate_layer_telemetry(&w, &model, &cfg, scheme, &session, "g:")
+                    .unwrap_or_else(|e| panic!("{}: {e}", r.scheme));
+                assert_eq!(t, r, "telemetry changed {} result", r.scheme);
+                let snap = session.metrics.snapshot();
+                let stalls: Vec<String> = snap
+                    .counters_under(&format!("{}/stall.", r.scheme))
+                    .into_iter()
+                    .map(|(name, v)| format!("{}={v}", name.rsplit('.').next().unwrap_or(name)))
+                    .collect();
+                got.push_str(&format!("    stall[{}]\n", stalls.join(",")));
+
+                let slow = UnitFaultSpec {
+                    cluster: 1,
+                    unit: 0,
+                    fault: UnitFault::Slow(4),
+                };
+                let s = try_simulate_layer(&w, &model, &cfg, scheme, Some(&slow))
+                    .expect("a slow PE is survivable");
+                let sb = s.breakdown;
+                got.push_str(&format!(
+                    "    slow4 compute={} nz={} z={} intra={} inter={}\n",
+                    s.compute_cycles, sb.nonzero, sb.zero, sb.intra, sb.inter
+                ));
+
+                for victim in [0, pes - 1, pes] {
+                    let stuck = UnitFaultSpec {
+                        cluster: victim,
+                        unit: 0,
+                        fault: UnitFault::Stuck,
+                    };
+                    match try_simulate_layer(&w, &model, &cfg, scheme, Some(&stuck)) {
+                        Ok(s) => got.push_str(&format!(
+                            "    stuck{victim} ok compute={}\n",
+                            s.compute_cycles
+                        )),
+                        Err(e) => got.push_str(&format!("    stuck{victim} err {e}\n")),
+                    }
+                }
+            }
+        }
+    }
+
+    let expected = "\
+d=65 small
+  SCNN compute=713 nz=14040 z=47046 intra=64066 inter=57376
+    stall[pe_barrier_idle=57376,multiplier_quantization=64066,output_backpressure=0]
+    slow4 compute=1922 nz=14040 z=47046 intra=64066 inter=366880
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=713
+  SCNN-one-sided compute=2047 nz=14040 z=176940 intra=170764 inter=162288
+    stall[pe_barrier_idle=162288,multiplier_quantization=170764,output_backpressure=0]
+    slow4 compute=5589 nz=14040 z=176940 intra=170764 inter=1069040
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=2047
+  SCNN-dense compute=4485 nz=14040 z=459810 intra=100230 inter=574080
+    stall[pe_barrier_idle=574080,multiplier_quantization=100230,output_backpressure=0]
+    slow4 compute=5980 nz=14040 z=459810 intra=100230 inter=956800
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=4485
+d=65 large
+  SCNN compute=517 nz=14040 z=47046 intra=183618 inter=284704
+    stall[pe_barrier_idle=284704,multiplier_quantization=183618,output_backpressure=0]
+    slow4 compute=1270 nz=14040 z=47046 intra=183618 inter=1055776
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=517
+  SCNN-one-sided compute=1495 nz=14040 z=176940 intra=515580 inter=824320
+    stall[pe_barrier_idle=824320,multiplier_quantization=515580,output_backpressure=0]
+    slow4 compute=3634 nz=14040 z=176940 intra=515580 inter=3014656
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=1495
+  SCNN-dense compute=1495 nz=14040 z=459810 intra=1057030 inter=0
+    stall[multiplier_quantization=1057030,output_backpressure=0]
+    slow4 compute=5980 nz=14040 z=459810 intra=1057030 inter=4592640
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=1495
+d=130 small
+  SCNN compute=1701 nz=32752 z=98914 intra=111278 inter=192512
+    stall[pe_barrier_idle=192512,multiplier_quantization=111278,output_backpressure=0]
+    slow4 compute=3776 nz=32752 z=98914 intra=111278 inter=723712
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=1701
+  SCNN-one-sided compute=5061 nz=32752 z=389825 intra=299151 inter=573888
+    stall[pe_barrier_idle=573888,multiplier_quantization=299151,output_backpressure=0]
+    slow4 compute=11256 nz=32752 z=389825 intra=299151 inter=2159808
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=5061
+  SCNN-dense compute=8190 nz=32752 z=1020248 intra=344760 inter=698880
+    stall[pe_barrier_idle=698880,multiplier_quantization=344760,output_backpressure=0]
+    slow4 compute=21840 nz=32752 z=1020248 intra=344760 inter=4193280
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=8190
+d=130 large
+  SCNN compute=918 nz=32752 z=98914 intra=357998 inter=450368
+    stall[pe_barrier_idle=450368,multiplier_quantization=357998,output_backpressure=0]
+    slow4 compute=2049 nz=32752 z=98914 intra=357998 inter=1608512
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=918
+  SCNN-one-sided compute=2730 nz=32752 z=389825 intra=1030959 inter=1341984
+    stall[pe_barrier_idle=1341984,multiplier_quantization=1030959,output_backpressure=0]
+    slow4 compute=6069 nz=32752 z=389825 intra=1030959 inter=4761120
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=2730
+  SCNN-dense compute=2730 nz=32752 z=1020248 intra=1742520 inter=0
+    stall[multiplier_quantization=1742520,output_backpressure=0]
+    slow4 compute=10920 nz=32752 z=1020248 intra=1742520 inter=8386560
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=2730
+d=20 small
+  SCNN compute=1785 nz=11675 z=187466 intra=87643 inter=170176
+    stall[pe_barrier_idle=170176,multiplier_quantization=87643,output_backpressure=0]
+    slow4 compute=4676 nz=11675 z=187466 intra=87643 inter=910272
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=1785
+  SCNN-one-sided compute=4387 nz=11675 z=489825 intra=203844 inter=417728
+    stall[pe_barrier_idle=417728,multiplier_quantization=203844,output_backpressure=0]
+    slow4 compute=11556 nz=11675 z=489825 intra=203844 inter=2252992
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=4387
+  SCNN-dense compute=6420 nz=11675 z=1203825 intra=291060 inter=136960
+    stall[pe_barrier_idle=136960,multiplier_quantization=291060,output_backpressure=0]
+    slow4 compute=25680 nz=11675 z=1203825 intra=291060 inter=5067520
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=6420
+d=20 large
+  SCNN compute=870 nz=11675 z=187466 intra=379915 inter=311824
+    stall[pe_barrier_idle=311824,multiplier_quantization=379915,output_backpressure=0]
+    slow4 compute=2442 nz=11675 z=187466 intra=379915 inter=1921552
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=870
+  SCNN-one-sided compute=2140 nz=11675 z=489825 intra=924596 inter=765264
+    stall[pe_barrier_idle=765264,multiplier_quantization=924596,output_backpressure=0]
+    slow4 compute=5992 nz=11675 z=489825 intra=924596 inter=4709712
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=2140
+  SCNN-dense compute=2140 nz=11675 z=1203825 intra=975860 inter=0
+    stall[multiplier_quantization=975860,output_backpressure=0]
+    slow4 compute=8560 nz=11675 z=1203825 intra=975860 inter=6574080
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=2140
+d=33 small
+  SCNN compute=50 nz=1191 z=0 intra=6233 inter=5376
+    stall[pe_barrier_idle=5376,multiplier_quantization=6233,output_backpressure=0]
+    slow4 compute=110 nz=1191 z=0 intra=6233 inter=20736
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=50
+  SCNN-one-sided compute=99 nz=1191 z=2310 intra=11043 inter=10800
+    stall[pe_barrier_idle=10800,multiplier_quantization=11043,output_backpressure=0]
+    slow4 compute=216 nz=1191 z=2310 intra=11043 inter=40752
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=99
+  SCNN-dense compute=99 nz=1191 z=7719 intra=16434 inter=0
+    stall[multiplier_quantization=16434,output_backpressure=0]
+    slow4 compute=396 nz=1191 z=7719 intra=16434 inter=76032
+    stuck0 err compute unit 0 in cluster 0 is stuck with assigned work
+    stuck15 err compute unit 0 in cluster 15 is stuck with assigned work
+    stuck16 ok compute=99
+d=33 large
+  SCNN compute=50 nz=1191 z=0 intra=8393 inter=41616
+    stall[pe_barrier_idle=41616,multiplier_quantization=8393,output_backpressure=0]
+    slow4 compute=50 nz=1191 z=0 intra=8393 inter=41616
+    stuck0 ok compute=50
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=50
+  SCNN-one-sided compute=99 nz=1191 z=2310 intra=15171 inter=82704
+    stall[pe_barrier_idle=82704,multiplier_quantization=15171,output_backpressure=0]
+    slow4 compute=99 nz=1191 z=2310 intra=15171 inter=82704
+    stuck0 ok compute=99
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=99
+  SCNN-dense compute=99 nz=1191 z=7719 intra=38610 inter=53856
+    stall[pe_barrier_idle=53856,multiplier_quantization=38610,output_backpressure=0]
+    slow4 compute=99 nz=1191 z=7719 intra=38610 inter=53856
+    stuck0 ok compute=99
+    stuck63 err compute unit 0 in cluster 63 is stuck with assigned work
+    stuck64 ok compute=99
+";
+    assert_eq!(got, expected, "golden snapshot drifted; actual:\n{got}");
+}
