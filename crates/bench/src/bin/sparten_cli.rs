@@ -273,7 +273,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         SimConfig::large()
     };
-    let log = trace_cluster(&w, &cfg, mode, 1);
+    let log = trace_cluster(&w, &cfg, mode, 1, None);
     println!(
         "{} {} under {mode:?}: utilization {:.0}%",
         net.name,
@@ -285,27 +285,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_validate() -> ExitCode {
-    use sparten::sim::validate::{standard_battery, validate_layer};
-    let mut ok = true;
-    for (i, (shape, di, df)) in standard_battery().into_iter().enumerate() {
-        let r = validate_layer(shape, di, df, 4242 + i as u64);
-        let pass = r.passed(1e-2);
-        ok &= pass;
-        println!(
-            "case {i}: engine err {:.1e}, scnn err {:.1e}, macs {}, accounting {}, ordering {} → {}",
-            r.engine_max_err,
-            r.scnn_max_err,
-            r.mac_counts_agree,
-            r.accounting_holds,
-            r.ordering_holds,
-            if pass { "PASS" } else { "FAIL" }
-        );
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    sparten_bench::exps::validate::run_checked()
 }
 
 fn cmd_energy(flags: &HashMap<String, String>) -> ExitCode {

@@ -1,7 +1,7 @@
-//! Experiment drivers shared by the figure binaries.
+//! Experiment drivers shared by the figure and study modules.
 
 use sparten::nn::{LayerSpec, Network};
-use sparten::sim::{simulate_layer, simulate_layer_telemetry, MaskModel, Scheme, SimConfig, SimResult};
+use sparten::sim::{simulate, Hooks, MaskModel, Scheme, SimConfig, SimResult};
 use sparten::telemetry::Telemetry;
 
 /// The seed every harness run uses, for reproducible tables.
@@ -40,50 +40,43 @@ pub fn run_network(network: &Network, schemes: &[Scheme], config: &SimConfig) ->
     network
         .layers
         .iter()
-        .map(|spec| run_layer(spec, schemes, config))
+        .map(|spec| run_layer(spec, schemes, config, None))
         .collect()
 }
 
 /// Runs one Table 3 layer through the given schemes. This is the unit of
 /// work the harness parallelizes: independent layers of one figure run on
 /// different workers and are recombined in layer order.
-pub fn run_layer(spec: &LayerSpec, schemes: &[Scheme], config: &SimConfig) -> LayerResult {
-    let workload = spec.workload(SEED);
-    let model = MaskModel::new(&workload, config.accel.cluster.chunk_size);
-    LayerResult {
-        layer: spec.name,
-        results: schemes
-            .iter()
-            .map(|&s| simulate_layer(&workload, &model, config, s))
-            .collect(),
-    }
-}
-
-/// [`run_layer`] with telemetry: every scheme's simulation records
-/// work/stall counters and timeline spans into `session` (Perfetto tracks
-/// prefixed `"<layer>:"`), with the stall counters reconciled *exactly*
-/// against each returned breakdown before they are merged in.
+///
+/// With a `session`, every scheme's simulation records work/stall counters
+/// and timeline spans into it (Perfetto tracks prefixed `"<layer>:"`), with
+/// the stall counters reconciled *exactly* against each returned breakdown
+/// before they are merged in.
 ///
 /// # Panics
 ///
 /// Panics if any scheme's counters fail to reconcile with its breakdown —
 /// that is a simulator-instrumentation bug, never a data condition, and
 /// the harness surfaces it as a failed job.
-pub fn run_layer_telemetry(
+pub fn run_layer(
     spec: &LayerSpec,
     schemes: &[Scheme],
     config: &SimConfig,
-    session: &Telemetry,
+    session: Option<&Telemetry>,
 ) -> LayerResult {
     let workload = spec.workload(SEED);
     let model = MaskModel::new(&workload, config.accel.cluster.chunk_size);
     let prefix = format!("{}:", spec.name);
+    let hooks = Hooks {
+        telemetry: session.map(|s| (s, prefix.as_str())),
+        fault: None,
+    };
     LayerResult {
         layer: spec.name,
         results: schemes
             .iter()
             .map(|&s| {
-                simulate_layer_telemetry(&workload, &model, config, s, session, &prefix)
+                simulate(&workload, &model, config, s, &hooks)
                     .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
             })
             .collect(),
@@ -239,7 +232,7 @@ mod tests {
         let net = googlenet();
         let spec = net.layer("Inc5a_5x5").expect("layer exists");
         let cfg = SimConfig::small();
-        let r = run_layer(spec, &[Scheme::Dense, Scheme::SpartenGbH], &cfg);
+        let r = run_layer(spec, &[Scheme::Dense, Scheme::SpartenGbH], &cfg, None);
         assert_eq!(r.results.len(), 2);
         let sp = r.speedups();
         assert_eq!(sp[0], 1.0);

@@ -6,12 +6,10 @@
 //! hardware superlinearly (Table 4 scaling). This sweep quantifies both
 //! sides on a representative layer.
 
-use sparten::core::balance::BalanceMode;
 use sparten::core::ClusterConfig;
 use sparten::energy::cluster_asic_estimate;
 use sparten::nn::alexnet;
-use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{MaskModel, SimConfig};
+use sparten::sim::{simulate_layer, MaskModel, Scheme, SimConfig};
 use crate::{print_table, SEED};
 
 pub fn run() {
@@ -25,7 +23,7 @@ pub fn run() {
         let mut cfg = SimConfig::large();
         cfg.accel.cluster.chunk_size = chunk;
         let model = MaskModel::new(&w, chunk);
-        let r = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let r = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbH);
         let cluster = ClusterConfig {
             compute_units: 32,
             chunk_size: chunk,

@@ -3,13 +3,13 @@
 //! §5.1: "Removing the whole-filter collocation from SparTen-GB-S results in
 //! worse performance in most other benchmarks (not shown)" — the exceptions
 //! being the GoogLeNet 5x5_reduce layers whose 16/48 filter counts interact
-//! badly with pairing. This binary shows both sides of that claim.
+//! badly with pairing. This ablation shows both sides of that claim.
 
-use sparten::core::balance::BalanceMode;
+use sparten::core::balance::{BalanceMode, LayerBalance};
 use sparten::nn::all_networks;
 use sparten::sim::breakdown::geometric_mean;
 use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{MaskModel, SimConfig};
+use sparten::sim::{simulate_layer, MaskModel, Scheme, SimConfig};
 use crate::{network_config, print_table, SEED};
 
 pub fn run() {
@@ -25,14 +25,13 @@ pub fn run() {
         for spec in &net.layers {
             let w = spec.workload(SEED);
             let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-            let with = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
-            let without = simulate_sparten(
-                &w,
-                &model,
-                &cfg,
-                Sparsity::TwoSided,
-                BalanceMode::GbSNoColloc,
-            );
+            let with = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbS);
+            let cluster = &cfg.accel.cluster;
+            let (units, chunk) = (cluster.compute_units, cluster.chunk_size);
+            let balance = LayerBalance::new(&w.filters, units, chunk, BalanceMode::GbSNoColloc);
+            let without =
+                simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, balance, None, None)
+                    .expect("fault-free simulation cannot fail");
             let ratio = without.cycles() as f64 / with.cycles() as f64;
             ratios.push(ratio);
             rows.push(vec![

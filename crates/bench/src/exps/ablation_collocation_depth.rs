@@ -8,7 +8,7 @@
 
 use sparten::core::balance::LayerBalance;
 use sparten::nn::alexnet;
-use sparten::sim::sparten::{simulate_sparten_with_balance, Sparsity};
+use sparten::sim::sparten::{simulate_sparten, Sparsity};
 use sparten::sim::{MaskModel, SimConfig};
 use crate::{print_table, SEED};
 
@@ -36,7 +36,8 @@ pub fn run() {
     for k in [1usize, 2, 4, 8] {
         for (style, per_chunk) in [("whole-filter", false), ("per-chunk", true)] {
             let balance = LayerBalance::with_collocation(&w.filters, units, chunk, k, per_chunk);
-            let r = simulate_sparten_with_balance(&w, &model, &cfg, Sparsity::TwoSided, balance);
+            let r = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, balance, None, None)
+                .expect("fault-free simulation cannot fail");
             rows.push(vec![
                 k.to_string(),
                 style.to_string(),

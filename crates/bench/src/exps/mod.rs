@@ -1,11 +1,10 @@
-//! The experiment bodies behind every figure/table binary.
+//! The experiment bodies behind every figure and table.
 //!
 //! Each module regenerates one table, figure, sweep, or ablation of the
-//! paper and is shared between its thin `src/bin/` wrapper (serial, prints
-//! to stdout) and the parallel orchestration harness (`sparten-harness`),
-//! which runs the same code under an output capture. All output must go
-//! through [`crate::outln!`]/[`crate::out!`] and [`crate::sink::artifact`]
-//! so both paths produce byte-identical results.
+//! paper. The orchestration harness (`sparten-harness run --filter
+//! <name>`) runs it under an output capture, so all output must go
+//! through [`crate::outln!`]/[`crate::out!`] and [`crate::sink::artifact`]:
+//! that is what the harness caches and writes under `results/`.
 
 pub mod ablation_bisection;
 pub mod ablation_chunk_size;

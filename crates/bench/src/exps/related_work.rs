@@ -28,7 +28,7 @@ pub fn run() {
 
         let dense = simulate_layer(&w, &model, &cfg, Scheme::Dense);
         let sparten = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbH);
-        let cam = simulate_cambricon(&w, &cfg);
+        let cam = simulate_cambricon(&w, &cfg, None);
         let bits = simulate_bitserial(&w, &cfg);
 
         for (label, r, accuracy) in [

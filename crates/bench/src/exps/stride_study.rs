@@ -57,7 +57,7 @@ pub fn run() {
     // Exact functional check on a scaled-down stride-2 layer.
     let shape = sparten::nn::ConvShape::new(32, 14, 14, 3, 16, 2, 1);
     let w = sparten::nn::generate::workload(&shape, 0.35, 0.35, SEED);
-    let (_, stats) = scnn_cartesian_conv(&w);
+    let (_, stats) = scnn_cartesian_conv(&w, None);
     crate::outln!(
         "\nfunctional Cartesian product at stride 2: {} products, {:.0}% discarded",
         stats.products,

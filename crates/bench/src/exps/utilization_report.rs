@@ -13,7 +13,7 @@ use crate::{network_config, print_table, SEED};
 use sparten::core::balance::BalanceMode;
 use sparten::nn::all_networks;
 use sparten::nn::generate::Workload;
-use sparten::sim::{trace_cluster_telemetry, SimConfig};
+use sparten::sim::{trace_cluster, SimConfig};
 use sparten::telemetry::Telemetry;
 
 /// Traces one (layer, mode) pair into a fresh telemetry session and reads
@@ -22,7 +22,7 @@ use sparten::telemetry::Telemetry;
 /// totals (a fully idle trace counts as 100%, matching the log).
 fn traced_utilization(w: &Workload, cfg: &SimConfig, mode: BalanceMode) -> f64 {
     let tel = Telemetry::new();
-    trace_cluster_telemetry(w, cfg, mode, 4, Some(&tel));
+    trace_cluster(w, cfg, mode, 4, Some(&tel));
     let snap = tel.metrics.snapshot();
     let sum_suffix = |suffix: &str| -> u64 {
         snap.entries

@@ -12,7 +12,7 @@ pub fn run() {
 }
 
 /// Runs the battery and reports failure through the process exit status
-/// (used by the standalone binary).
+/// (used by `sparten_cli validate`).
 pub fn run_checked() -> ExitCode {
     crate::outln!("== Validation battery ==\n");
     let mut rows = Vec::new();

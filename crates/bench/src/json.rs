@@ -1,6 +1,6 @@
 //! A minimal hand-rolled JSON writer and parser.
 //!
-//! The workspace builds offline, so the figure binaries cannot depend on
+//! The workspace builds offline, so the experiments cannot depend on
 //! `serde_json`. This covers exactly what the result dumps need: objects
 //! with preserved key order, arrays, strings, integers, floats, and bools,
 //! pretty-printed with two-space indentation. The parser ([`Json::parse`])

@@ -1,12 +1,13 @@
-//! Shared helpers for the benchmark harness binaries.
+//! The experiments of the reproduction and their shared helpers.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index); the binaries are thin wrappers around
-//! the experiment modules in [`exps`], which the parallel orchestration
-//! harness (`sparten-harness`) drives directly. This library holds the
-//! common pieces: table formatting, per-network experiment drivers, the
-//! capturable output sink, a hand-rolled JSON writer, the std-only
-//! micro-benchmark timer, and the experiment registry.
+//! Each module in [`exps`] regenerates one table or figure of the paper
+//! (see DESIGN.md §4 for the index); the orchestration harness
+//! (`sparten-harness run --filter <name>`) drives them through the
+//! [`registry`]. This library holds the common pieces: table formatting,
+//! per-network experiment drivers, the capturable output sink, a
+//! hand-rolled JSON writer, the std-only micro-benchmark timer, and the
+//! experiment registry. Its one binary, `sparten_cli`, is a small
+//! interactive front end.
 
 pub mod exps;
 pub mod experiments;
@@ -21,7 +22,7 @@ pub mod vfs;
 
 pub use experiments::{
     dump_json, geomean_excluding, network_config, print_breakdown_figure, print_speedup_figure,
-    run_layer, run_layer_telemetry, run_network, LayerResult, SEED,
+    run_layer, run_network, LayerResult, SEED,
 };
 pub use fsutil::atomic_write;
 pub use vfs::{

@@ -6,12 +6,9 @@
 //! ([`Runner::Whole`]) or — for the per-network figures, the expensive
 //! majority of the evaluation — exposes per-layer points
 //! ([`Runner::PerLayer`]) that independent workers simulate concurrently
-//! and a deterministic render step recombines in layer order. The serial
-//! `src/bin/` wrappers drive the *same* compute and render code, which is
-//! what guarantees harness output is byte-identical to the standalone
-//! binaries.
+//! and a deterministic render step recombines in layer order.
 
-use crate::experiments::{run_layer, run_layer_telemetry, LayerResult};
+use crate::experiments::{run_layer, LayerResult};
 use crate::exps;
 use sparten::nn::Network;
 use sparten::sim::{Scheme, SimConfig, SimResult};
@@ -68,29 +65,19 @@ impl NetworkFigure {
         (self.network)().layers.len()
     }
 
-    /// Simulates point `i` (one layer across all of this figure's schemes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn compute_point(&self, i: usize) -> LayerResult {
-        let net = (self.network)();
-        let cfg = (self.config)(&net);
-        run_layer(&net.layers[i], &(self.schemes)(), &cfg)
-    }
-
-    /// [`compute_point`](Self::compute_point) with telemetry: counters and
-    /// timeline spans for every scheme land in `session`, reconciled
-    /// exactly against the returned breakdowns.
+    /// Simulates point `i` (one layer across all of this figure's schemes),
+    /// recording counters and timeline spans for every scheme into
+    /// `session` when given, reconciled exactly against the returned
+    /// breakdowns.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or a scheme's counters fail to
     /// reconcile (an instrumentation bug).
-    pub fn compute_point_telemetry(&self, i: usize, session: &Telemetry) -> LayerResult {
+    pub fn compute_point(&self, i: usize, session: Option<&Telemetry>) -> LayerResult {
         let net = (self.network)();
         let cfg = (self.config)(&net);
-        run_layer_telemetry(&net.layers[i], &(self.schemes)(), &cfg, session)
+        run_layer(&net.layers[i], &(self.schemes)(), &cfg, session)
     }
 
     /// The cache-key fingerprint shared by all of this figure's points:
@@ -126,15 +113,6 @@ impl NetworkFigure {
             cfg.fingerprint(),
         )
     }
-
-    /// Serial fallback used by the standalone binaries: compute every
-    /// point in order, then render.
-    pub fn run_serial(&self) {
-        let layers: Vec<LayerResult> = (0..self.num_points())
-            .map(|i| self.compute_point(i))
-            .collect();
-        (self.render)(&layers);
-    }
 }
 
 /// How an experiment executes.
@@ -149,7 +127,8 @@ pub enum Runner {
 /// One registered experiment.
 #[derive(Clone, Copy)]
 pub struct ExperimentSpec {
-    /// Unique name; matches the `src/bin/` binary and `results/` basename.
+    /// Unique name; matches the `results/` basename and the
+    /// `sparten-harness run --filter` name.
     pub name: &'static str,
     /// Artifact kind.
     pub kind: ExperimentKind,
@@ -288,7 +267,7 @@ mod tests {
 
     #[test]
     fn registry_covers_every_results_binary() {
-        // One registered experiment per non-CLI binary in src/bin/.
+        // One registered experiment per table or figure under results/.
         assert_eq!(all_experiments().len(), 32);
     }
 
@@ -312,7 +291,7 @@ mod tests {
                 _ => None,
             })
             .expect("a per-layer figure exists");
-        let l = fig.compute_point(0);
+        let l = fig.compute_point(0, None);
         let back = layer_from_record(l.layer, &layer_record(&l)).expect("parses");
         assert_eq!(back.layer, l.layer);
         assert_eq!(back.results, l.results);

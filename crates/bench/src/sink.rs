@@ -2,12 +2,12 @@
 //!
 //! Every table/figure driver writes its human-readable output through
 //! [`crate::outln!`]/[`crate::out!`] and its file artifacts (JSON rows)
-//! through [`artifact`]. By default both go where they always did — stdout
-//! and `results/` — so the standalone binaries behave unchanged. When the
-//! orchestration harness runs an experiment it installs a thread-local
-//! capture first, and the exact bytes the binary would have printed are
-//! collected instead: that is what gets cached, diffed, and written with
-//! deterministic ordering regardless of worker-thread interleaving.
+//! through [`artifact`]. By default both go straight to stdout and
+//! `results/` (as `sparten_cli validate` uses them). When the orchestration
+//! harness runs an experiment it installs a thread-local capture first, and
+//! the exact bytes the experiment would have printed are collected instead:
+//! that is what gets cached, diffed, and written with deterministic
+//! ordering regardless of worker-thread interleaving.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -83,9 +83,9 @@ pub fn out_args(args: fmt::Arguments<'_>) {
     });
 }
 
-/// Records a file artifact. Captured runs collect it; standalone runs write
+/// Records a file artifact. Captured runs collect it; uncaptured runs write
 /// it to disk immediately (creating parent directories) and note the path
-/// on stderr, exactly as the old binaries did.
+/// on stderr.
 pub fn artifact(path: &str, contents: &str) {
     let captured = ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();

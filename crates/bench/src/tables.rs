@@ -1,4 +1,4 @@
-//! Plain-text table and series rendering for the harness binaries.
+//! Plain-text table and series rendering for the experiments.
 
 /// Prints a table: a header row followed by data rows, columns padded to
 /// the widest cell.

@@ -29,8 +29,7 @@ use sparten::faults::{
 };
 use sparten::nn::generate::{workload, Workload};
 use sparten::nn::ConvShape;
-use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{simulate_sparten_faulted, MaskModel, SimConfig};
+use sparten::sim::{simulate, simulate_layer, Hooks, MaskModel, Scheme, SimConfig};
 use sparten::tensor::SparseTensor3;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -121,16 +120,12 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                 fault: UnitFault::Slow(2 + rng.gen_range(6)),
             };
             let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-            let clean = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
-            match simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                Sparsity::TwoSided,
-                BalanceMode::None,
-                &fault,
-                None,
-            ) {
+            let clean = simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb);
+            let hooks = Hooks {
+                telemetry: None,
+                fault: Some(&fault),
+            };
+            match simulate(&w, &m, &cfg, Scheme::SpartenNoGb, &hooks) {
                 Err(_) => FaultOutcome::Detected,
                 // A straggler must only stretch latency: identical work
                 // accounting and no-faster cycles prove absorption.
@@ -154,16 +149,12 @@ fn run_trial(spec: &FaultSpec) -> FaultOutcome {
                 fault: UnitFault::Stuck,
             };
             let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-            let clean = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
-            match simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                Sparsity::TwoSided,
-                BalanceMode::None,
-                &fault,
-                None,
-            ) {
+            let clean = simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb);
+            let hooks = Hooks {
+                telemetry: None,
+                fault: Some(&fault),
+            };
+            match simulate(&w, &m, &cfg, Scheme::SpartenNoGb, &hooks) {
                 Err(_) => FaultOutcome::Detected,
                 // Only a victim that never held work can go unnoticed, and
                 // then the result must equal the clean run exactly.

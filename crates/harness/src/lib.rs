@@ -2,9 +2,8 @@
 
 //! Parallel experiment orchestration for the SparTen reproduction.
 //!
-//! The evaluation consists of ~30 figures, tables, sweeps, and ablations
-//! that used to run as independent serial binaries. This crate replaces
-//! that with a single harness:
+//! The evaluation consists of 32 figures, tables, sweeps, and ablations.
+//! This crate runs them all through a single harness:
 //!
 //! * every experiment is an [`Experiment`] — a named, parameterized job
 //!   with declared dependencies and one or more independent *points*
@@ -17,12 +16,12 @@
 //!   skips every point whose key — experiment name, configuration
 //!   fingerprint, seed, point index, format version — was already
 //!   computed, so re-runs are incremental and interrupted sweeps resume;
-//! * one CLI (`cargo run -p sparten-harness -- run ...`) replaces the
-//!   serial binaries and prints a per-job wall-time/cache-hit summary.
+//! * one CLI (`cargo run -p sparten-harness -- run ...`) runs any subset
+//!   (`--filter <name>`) and prints a per-job wall-time/cache-hit summary.
 //!
-//! Byte-identity with the serial binaries is by construction: experiments
-//! route output through `sparten_bench`'s capturable sink and the harness
-//! drives the *same* compute and render code the binaries use.
+//! Output is deterministic by construction: experiments route output
+//! through `sparten_bench`'s capturable sink, and cached and live points
+//! go through the same render code.
 
 pub mod cache;
 pub mod chaos;
@@ -60,7 +59,7 @@ pub enum PointPayload {
 /// must produce bit-identical payloads on every run, which is what makes
 /// the content-addressed cache sound.
 pub trait Experiment: Send + Sync {
-    /// Unique name (matches the serial binary and `results/` basename).
+    /// Unique name (matches the `results/` basename).
     fn name(&self) -> &'static str;
 
     /// Artifact kind (figure, table, sweep, ...).
@@ -207,12 +206,12 @@ impl Experiment for PerLayerJob {
     }
 
     fn compute_point(&self, point: usize) -> PointPayload {
-        PointPayload::Record(layer_record(&self.figure.compute_point(point)))
+        PointPayload::Record(layer_record(&self.figure.compute_point(point, None)))
     }
 
     fn compute_point_telemetry(&self, point: usize) -> (PointPayload, Option<Telemetry>) {
         let session = Telemetry::new();
-        let layer = self.figure.compute_point_telemetry(point, &session);
+        let layer = self.figure.compute_point(point, Some(&session));
         (PointPayload::Record(layer_record(&layer)), Some(session))
     }
 

@@ -7,7 +7,7 @@
 use sparten::nn::{ConvShape, LayerSpec};
 use sparten::sim::{Scheme, SimConfig};
 use sparten_bench::registry::layer_record;
-use sparten_bench::{run_layer, run_layer_telemetry, Capture, ExperimentKind};
+use sparten_bench::{run_layer, Capture, ExperimentKind};
 use sparten_harness::executor::{self, RunOptions, RunReport};
 use sparten_harness::{fsck, journal, registry, Experiment, PointPayload};
 use sparten_telemetry::{parse_report, Telemetry};
@@ -71,17 +71,17 @@ impl Experiment for FigShaped {
                 flag.store(1, Ordering::SeqCst);
             }
         }
-        let result = run_layer(&self.layer(point), &Scheme::all(), &SimConfig::small());
+        let result = run_layer(&self.layer(point), &Scheme::all(), &SimConfig::small(), None);
         PointPayload::Record(layer_record(&result))
     }
 
     fn compute_point_telemetry(&self, point: usize) -> (PointPayload, Option<Telemetry>) {
         let session = Telemetry::new();
-        let result = run_layer_telemetry(
+        let result = run_layer(
             &self.layer(point),
             &Scheme::all(),
             &SimConfig::small(),
-            &session,
+            Some(&session),
         );
         (PointPayload::Record(layer_record(&result)), Some(session))
     }

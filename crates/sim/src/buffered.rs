@@ -129,7 +129,7 @@ pub fn simulate_buffered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparten::{simulate_sparten, Sparsity};
+    use crate::runner::{simulate_layer, Scheme};
     use sparten_nn::generate::workload;
     use sparten_nn::ConvShape;
 
@@ -147,7 +147,7 @@ mod tests {
     fn depth_one_matches_the_barrier_simulator() {
         let (w, cfg, m) = setup();
         let buffered = simulate_buffered(&w, &m, &cfg, BalanceMode::None, BufferDepth::Bounded(1));
-        let barrier = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
+        let barrier = simulate_layer(&w, &m, &cfg, Scheme::SpartenNoGb);
         // Same semantics: issue gated on everyone finishing the previous
         // chunk; +1 per chunk matches CHUNK_OVERHEAD.
         assert_eq!(buffered.cycles, barrier.compute_cycles);

@@ -14,7 +14,7 @@
 
 use sparten_nn::generate::Workload;
 use sparten_nn::structured::{prune_coarse, CoarsePruneReport};
-use sparten_telemetry::{ReconcileError, StallCause, Telemetry};
+use sparten_telemetry::{StallCause, Telemetry};
 
 use crate::breakdown::{Breakdown, OpCounts, SimResult, Traffic};
 use crate::config::SimConfig;
@@ -36,13 +36,9 @@ pub struct CambriconResult {
 
 /// Simulates a Cambricon-S-like accelerator on `workload`, re-pruning its
 /// filters coarsely (shared mask per group of `units` filters) to the
-/// layer's own density so the comparison is density-matched.
-pub fn simulate_cambricon(workload: &Workload, config: &SimConfig) -> CambriconResult {
-    simulate_cambricon_telemetry(workload, config, None)
-}
-
-/// [`simulate_cambricon`] with an optional telemetry session.
-pub fn simulate_cambricon_telemetry(
+/// layer's own density so the comparison is density-matched. Counters and
+/// spans are recorded into `tel` when given.
+pub fn simulate_cambricon(
     workload: &Workload,
     config: &SimConfig,
     tel: Option<&Telemetry>,
@@ -185,21 +181,6 @@ pub fn simulate_cambricon_telemetry(
     }
 }
 
-/// Runs the Cambricon-S-like simulator into a fresh telemetry session,
-/// checks that the recorded counters reconcile exactly with the breakdown,
-/// then folds the session into `session` under `track_prefix`.
-pub fn simulate_cambricon_checked(
-    workload: &Workload,
-    config: &SimConfig,
-    session: &Telemetry,
-    track_prefix: &str,
-) -> Result<CambriconResult, ReconcileError> {
-    let local = Telemetry::new();
-    let result = simulate_cambricon_telemetry(workload, config, Some(&local));
-    crate::probe::reconcile_and_merge(local, &result.sim, session, track_prefix)?;
-    Ok(result)
-}
-
 /// Cambricon-S traffic: feature maps travel *dense* (zeros included, no
 /// masks); filters travel as shared masks (amortized across the group)
 /// plus per-filter kept-position values — including the zeros the shared
@@ -256,7 +237,7 @@ mod tests {
     #[test]
     fn accounting_identity_holds() {
         let (w, cfg) = test_setup();
-        let r = simulate_cambricon(&w, &cfg);
+        let r = simulate_cambricon(&w, &cfg, None);
         assert!(r.sim.accounting_holds());
     }
 
@@ -265,7 +246,7 @@ mod tests {
         // Shared masks make all units in a group identical: intra loss only
         // comes from partially-filled groups and chunk overhead.
         let (w, cfg) = test_setup();
-        let r = simulate_cambricon(&w, &cfg);
+        let r = simulate_cambricon(&w, &cfg, None);
         let sparten_no_gb = {
             let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
             simulate_layer(&w, &model, &cfg, Scheme::SpartenNoGb)
@@ -284,7 +265,7 @@ mod tests {
         // Table 1's two "No" rows: zero compute from clamped-kept weights,
         // zero transfer from dense feature maps.
         let (w, cfg) = test_setup();
-        let r = simulate_cambricon(&w, &cfg);
+        let r = simulate_cambricon(&w, &cfg, None);
         assert!(r.sim.breakdown.zero > 0, "kept-position zeros are computed");
         assert!(
             r.sim.traffic.zero_value_bytes > 0.0,
@@ -295,7 +276,7 @@ mod tests {
     #[test]
     fn accuracy_collateral_is_reported() {
         let (w, cfg) = test_setup();
-        let r = simulate_cambricon(&w, &cfg);
+        let r = simulate_cambricon(&w, &cfg, None);
         assert!(r.prune_report.clamped_keepers > 0);
         assert!(r.prune_report.collateral_fraction() > 0.0);
     }
@@ -303,7 +284,7 @@ mod tests {
     #[test]
     fn sparten_still_wins_on_traffic() {
         let (w, cfg) = test_setup();
-        let cam = simulate_cambricon(&w, &cfg);
+        let cam = simulate_cambricon(&w, &cfg, None);
         let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
         let sparten = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbH);
         assert!(sparten.traffic.total_bytes() < cam.sim.traffic.total_bytes());

@@ -16,13 +16,9 @@ use crate::config::SimConfig;
 use crate::probe::Probe;
 use crate::workmodel::MaskModel;
 
-/// Simulates one layer on the dense baseline.
-pub fn simulate_dense(workload: &Workload, model: &MaskModel, config: &SimConfig) -> SimResult {
-    simulate_dense_telemetry(workload, model, config, None)
-}
-
-/// [`simulate_dense`] with an optional telemetry session.
-pub fn simulate_dense_telemetry(
+/// Simulates one layer on the dense baseline, recording counters and
+/// per-cluster spans into `tel` when given.
+pub(crate) fn simulate_dense(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
@@ -157,7 +153,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 1);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.accounting_holds());
     }
 
@@ -169,7 +165,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 2);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert_eq!(r.compute_cycles, 18 * 2 * (9 * 32) as u64);
     }
 
@@ -179,7 +175,7 @@ mod tests {
         let w = workload(&shape, 0.2, 0.2, 3);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.breakdown.zero > r.breakdown.nonzero);
     }
 
@@ -189,7 +185,7 @@ mod tests {
         let w = workload(&shape, 0.3, 0.3, 4);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.traffic.zero_value_bytes > 0.0);
         assert_eq!(r.traffic.metadata_bytes, 0.0);
     }
@@ -201,7 +197,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.5, 5);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_dense(&w, &m, &cfg);
+        let r = simulate_dense(&w, &m, &cfg, None);
         assert!(r.breakdown.inter > 0);
     }
 }

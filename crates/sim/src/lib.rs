@@ -40,18 +40,15 @@ pub mod workmodel;
 pub use bitserial::{booth_digits, simulate_bitserial};
 pub use breakdown::{intern_scheme_label, Breakdown, OpCounts, SimResult, Traffic};
 pub use buffered::{simulate_buffered, BufferDepth, BufferedResult};
-pub use cambricon::{simulate_cambricon, simulate_cambricon_checked, CambriconResult};
+pub use cambricon::{simulate_cambricon, CambriconResult};
 pub use config::{MemoryConfig, ScnnConfig, SimConfig};
 pub use goals::{design_goal_table, DesignGoals};
 pub use probe::{reconcile_and_merge, Probe, StallTally};
 pub use runner::{
-    simulate_layer, simulate_layer_telemetry, simulate_spec, simulate_spec_batch,
-    try_simulate_layer, try_simulate_layer_telemetry, BatchResult, Scheme,
+    simulate, simulate_layer, simulate_spec, simulate_spec_batch, BatchResult, Hooks, Scheme,
 };
-pub use scnn::simulate_scnn_faulted;
-pub use sparten::simulate_sparten_faulted;
-pub use scnn_engine::{scnn_cartesian_conv, scnn_cartesian_conv_telemetry, CartesianStats};
+pub use scnn_engine::{scnn_cartesian_conv, CartesianStats};
 pub use sweeps::{density_sweep, scaling_sweep, DensityPoint, ScalingPoint};
-pub use trace::{trace_cluster, trace_cluster_telemetry, ChunkEvent, ClusterTraceLog};
+pub use trace::{trace_cluster, ChunkEvent, ClusterTraceLog};
 pub use validate::{standard_battery, validate_layer, ValidationReport};
 pub use workmodel::{LayerMeasurement, MaskModel};

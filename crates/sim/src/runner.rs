@@ -1,20 +1,18 @@
 //! High-level simulation entry points: one call per (layer, scheme).
 
-use sparten_core::balance::BalanceMode;
+use sparten_core::balance::{BalanceMode, LayerBalance};
 use sparten_core::SimError;
 use sparten_faults::UnitFaultSpec;
 use sparten_nn::generate::Workload;
 use sparten_nn::LayerSpec;
-use sparten_telemetry::{ReconcileError, Telemetry};
+use sparten_telemetry::Telemetry;
 
 use crate::breakdown::SimResult;
 use crate::config::SimConfig;
-use crate::dense::{simulate_dense, simulate_dense_telemetry};
+use crate::dense::simulate_dense;
 use crate::probe::reconcile_and_merge;
-use crate::scnn::{simulate_scnn, simulate_scnn_faulted, simulate_scnn_telemetry, ScnnVariant};
-use crate::sparten::{
-    simulate_sparten, simulate_sparten_faulted, simulate_sparten_telemetry, Sparsity,
-};
+use crate::scnn::{simulate_scnn, ScnnVariant};
+use crate::sparten::{simulate_sparten, Sparsity};
 use crate::workmodel::MaskModel;
 
 /// The eight architectures compared in §5.1.
@@ -74,75 +72,55 @@ impl Scheme {
     }
 }
 
-/// Simulates one layer workload on one scheme, reusing a prebuilt mask
-/// model (share the model across schemes — it caches the true MAC count).
-pub fn simulate_layer(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    scheme: Scheme,
-) -> SimResult {
-    match scheme {
-        Scheme::Dense => simulate_dense(workload, model, config),
-        Scheme::OneSided => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::OneSided,
-            BalanceMode::None,
-        ),
-        Scheme::SpartenNoGb => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::None,
-        ),
-        Scheme::SpartenGbS => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbS,
-        ),
-        Scheme::SpartenGbH => simulate_sparten(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbH,
-        ),
-        Scheme::Scnn => simulate_scnn(workload, model, config, ScnnVariant::Full),
-        Scheme::ScnnOneSided => simulate_scnn(workload, model, config, ScnnVariant::OneSided),
-        Scheme::ScnnDense => simulate_scnn(workload, model, config, ScnnVariant::Dense),
-    }
+/// Optional instrumentation for one [`simulate`] call, orthogonal to the
+/// scheme: `Hooks::default()` runs the plain cycle loop.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Hooks<'a> {
+    /// Record telemetry into this session, with Perfetto tracks prefixed
+    /// by the string (e.g. `"conv1:"`). The scheme runs into a fresh local
+    /// session whose stall and work counters must reconcile *exactly* with
+    /// the returned breakdown (`nonzero + zero + intra + inter ==
+    /// compute_cycles × units`) before it is folded in; that keeps the
+    /// invariant exact even when many layers record into one shared
+    /// session from worker threads. A reconcile failure is returned as
+    /// [`SimError::Invariant`].
+    pub telemetry: Option<(&'a Telemetry, &'a str)>,
+    /// Inject one compute-unit fault. Targeting follows the scheme's unit
+    /// topology: SparTen-family schemes interpret `fault.cluster` and
+    /// `fault.unit` directly; SCNN variants treat `fault.cluster` as the
+    /// flat PE index (`fault.unit` is ignored); the Dense scheme has no
+    /// sparse compute units to perturb, so the fault is a no-op there. A
+    /// stuck unit holding work is returned as [`SimError::StuckUnit`].
+    pub fault: Option<&'a UnitFaultSpec>,
 }
 
-/// Fallible [`simulate_layer`]: simulates with an optional injected compute
-/// unit fault and surfaces detection as a typed [`SimError`] instead of a
-/// panic. With `fault: None` this is exactly `Ok(simulate_layer(..))`.
-///
-/// Fault targeting follows the scheme's unit topology: SparTen-family
-/// schemes interpret `fault.cluster`/`fault.unit` directly; SCNN variants
-/// treat `fault.cluster` as the flat PE index (`fault.unit` is ignored);
-/// the Dense scheme has no sparse compute units to perturb, so faults are
-/// documented no-ops there.
-pub fn try_simulate_layer(
+/// Simulates one layer workload on one scheme, reusing a prebuilt mask
+/// model (share the model across schemes — it caches the true MAC count).
+/// With default hooks the call cannot fail.
+pub fn simulate(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
     scheme: Scheme,
-    fault: Option<&UnitFaultSpec>,
+    hooks: &Hooks,
 ) -> Result<SimResult, SimError> {
-    let Some(fault) = fault else {
-        return Ok(simulate_layer(workload, model, config, scheme));
-    };
+    let local = hooks.telemetry.map(|_| Telemetry::new());
+    let tel = local.as_ref();
+    let fault = hooks.fault;
     let sparten = |sparsity, mode| {
-        simulate_sparten_faulted(workload, model, config, sparsity, mode, fault, None)
+        let cluster = &config.accel.cluster;
+        let balance = LayerBalance::new(
+            &workload.filters,
+            cluster.compute_units,
+            cluster.chunk_size,
+            mode,
+        );
+        simulate_sparten(workload, model, config, sparsity, balance, tel, fault)
     };
-    let scnn = |variant| simulate_scnn_faulted(workload, model, config, variant, fault, None);
-    match scheme {
-        Scheme::Dense => Ok(simulate_dense(workload, model, config)),
+    let scnn = |variant| simulate_scnn(workload, model, config, variant, tel, fault);
+    let result = match scheme {
+        Scheme::Dense => Ok(simulate_dense(workload, model, config, tel)),
+        // Filters are dense one-sided, so greedy balancing is moot.
         Scheme::OneSided => sparten(Sparsity::OneSided, BalanceMode::None),
         Scheme::SpartenNoGb => sparten(Sparsity::TwoSided, BalanceMode::None),
         Scheme::SpartenGbS => sparten(Sparsity::TwoSided, BalanceMode::GbS),
@@ -150,87 +128,23 @@ pub fn try_simulate_layer(
         Scheme::Scnn => scnn(ScnnVariant::Full),
         Scheme::ScnnOneSided => scnn(ScnnVariant::OneSided),
         Scheme::ScnnDense => scnn(ScnnVariant::Dense),
+    }?;
+    if let (Some(local), Some((session, prefix))) = (local, hooks.telemetry) {
+        reconcile_and_merge(local, &result, session, prefix)
+            .map_err(|e| SimError::invariant("telemetry reconcile", e))?;
     }
-}
-
-/// Fallible [`simulate_layer_telemetry`]: same contract, but reconcile
-/// failures come back as [`SimError::Invariant`] so callers can thread one
-/// error type through both simulation and telemetry checks.
-pub fn try_simulate_layer_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    scheme: Scheme,
-    session: &Telemetry,
-    track_prefix: &str,
-) -> Result<SimResult, SimError> {
-    simulate_layer_telemetry(workload, model, config, scheme, session, track_prefix)
-        .map_err(|e| SimError::invariant("telemetry reconcile", e))
-}
-
-/// [`simulate_layer`] with telemetry: runs the scheme's instrumented
-/// simulator into a fresh local session, checks that the recorded stall
-/// and work counters reconcile *exactly* with the returned breakdown
-/// (`nonzero + zero + intra + inter == compute_cycles × units`), and only
-/// then folds the session into `session` (Perfetto tracks prefixed with
-/// `track_prefix`, e.g. `"conv1:"`).
-///
-/// The local-session-then-merge dance keeps the invariant exact even when
-/// many layers record into one shared session from worker threads.
-pub fn simulate_layer_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    scheme: Scheme,
-    session: &Telemetry,
-    track_prefix: &str,
-) -> Result<SimResult, ReconcileError> {
-    let local = Telemetry::new();
-    let tel = Some(&local);
-    let result = match scheme {
-        Scheme::Dense => simulate_dense_telemetry(workload, model, config, tel),
-        Scheme::OneSided => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::OneSided,
-            BalanceMode::None,
-            tel,
-        ),
-        Scheme::SpartenNoGb => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::None,
-            tel,
-        ),
-        Scheme::SpartenGbS => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbS,
-            tel,
-        ),
-        Scheme::SpartenGbH => simulate_sparten_telemetry(
-            workload,
-            model,
-            config,
-            Sparsity::TwoSided,
-            BalanceMode::GbH,
-            tel,
-        ),
-        Scheme::Scnn => simulate_scnn_telemetry(workload, model, config, ScnnVariant::Full, tel),
-        Scheme::ScnnOneSided => {
-            simulate_scnn_telemetry(workload, model, config, ScnnVariant::OneSided, tel)
-        }
-        Scheme::ScnnDense => {
-            simulate_scnn_telemetry(workload, model, config, ScnnVariant::Dense, tel)
-        }
-    };
-    reconcile_and_merge(local, &result, session, track_prefix)?;
     Ok(result)
+}
+
+/// [`simulate`] with no hooks, which cannot fail.
+pub fn simulate_layer(
+    workload: &Workload,
+    model: &MaskModel,
+    config: &SimConfig,
+    scheme: Scheme,
+) -> SimResult {
+    simulate(workload, model, config, scheme, &Hooks::default())
+        .expect("an unhooked simulation cannot fail")
 }
 
 /// Generates a Table 3 layer's synthetic workload and simulates it.

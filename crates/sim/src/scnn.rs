@@ -86,47 +86,15 @@ fn subtiles(start: usize, len: usize, cap: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Simulates one layer on SCNN.
-pub fn simulate_scnn(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-) -> SimResult {
-    simulate_scnn_telemetry(workload, model, config, variant, None)
-}
-
-/// [`simulate_scnn`] with an optional telemetry session.
-pub fn simulate_scnn_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-    tel: Option<&Telemetry>,
-) -> SimResult {
-    simulate_scnn_inner(workload, model, config, variant, tel, None)
-        .expect("fault-free simulation cannot fail")
-}
-
-/// [`simulate_scnn`] with a stuck/slow PE fault injected.
+/// Simulates one layer on SCNN, recording counters and per-PE spans into
+/// `tel` when given.
 ///
-/// The victim is `fault.cluster` interpreted as the flat PE index
-/// (`fault.unit` is ignored — SCNN's barrier is PE-granular). A slow PE
-/// stretches only the per-step barrier, leaving work counts and the
+/// With `fault`, the victim is `fault.cluster` interpreted as the flat PE
+/// index (`fault.unit` is ignored — SCNN's barrier is PE-granular). A slow
+/// PE stretches only the per-step barrier, leaving work counts and the
 /// cycle-accounting identity intact; a stuck PE holding nonzero work
-/// returns [`SimError::StuckUnit`].
-pub fn simulate_scnn_faulted(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    variant: ScnnVariant,
-    fault: &UnitFaultSpec,
-    tel: Option<&Telemetry>,
-) -> Result<SimResult, SimError> {
-    simulate_scnn_inner(workload, model, config, variant, tel, Some(fault))
-}
-
-fn simulate_scnn_inner(
+/// returns [`SimError::StuckUnit`]. Without a fault the call cannot fail.
+pub(crate) fn simulate_scnn(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
@@ -399,6 +367,10 @@ mod tests {
         c
     }
 
+    fn run(w: &Workload, m: &MaskModel, cfg: &SimConfig, variant: ScnnVariant) -> SimResult {
+        simulate_scnn(w, m, cfg, variant, None, None).expect("fault-free simulation cannot fail")
+    }
+
     fn unit_stride_workload() -> Workload {
         let shape = ConvShape::new(32, 12, 12, 3, 16, 1, 1);
         workload(&shape, 0.4, 0.35, 21)
@@ -410,7 +382,7 @@ mod tests {
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
         for v in [ScnnVariant::Full, ScnnVariant::OneSided, ScnnVariant::Dense] {
-            let r = simulate_scnn(&w, &m, &cfg, v);
+            let r = run(&w, &m, &cfg, v);
             assert!(r.accounting_holds(), "{}: accounting broken", r.scheme);
         }
     }
@@ -420,9 +392,9 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let full = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
-        let one = simulate_scnn(&w, &m, &cfg, ScnnVariant::OneSided);
-        let dense = simulate_scnn(&w, &m, &cfg, ScnnVariant::Dense);
+        let full = run(&w, &m, &cfg, ScnnVariant::Full);
+        let one = run(&w, &m, &cfg, ScnnVariant::OneSided);
+        let dense = run(&w, &m, &cfg, ScnnVariant::Dense);
         assert!(full.cycles() < one.cycles());
         assert!(one.cycles() < dense.cycles());
     }
@@ -432,13 +404,13 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let clean = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let clean = run(&w, &m, &cfg, ScnnVariant::Full);
         let fault = UnitFaultSpec {
             cluster: 0, // flat PE index for SCNN
             unit: 0,
             fault: UnitFault::Slow(5),
         };
-        let slow = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let slow = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect("slow PE is not a detection failure");
         assert_eq!(slow.breakdown.nonzero, clean.breakdown.nonzero);
         assert_eq!(slow.breakdown.zero, clean.breakdown.zero);
@@ -456,7 +428,7 @@ mod tests {
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let err = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let err = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect_err("a stuck PE holding work must surface as an error");
         assert!(matches!(
             err,
@@ -469,13 +441,13 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let clean = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let clean = run(&w, &m, &cfg, ScnnVariant::Full);
         let fault = UnitFaultSpec {
             cluster: 9999,
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let faulted = simulate_scnn_faulted(&w, &m, &cfg, ScnnVariant::Full, &fault, None)
+        let faulted = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full, None, Some(&fault))
             .expect("a fault outside the PE grid cannot fire");
         assert_eq!(faulted.compute_cycles, clean.compute_cycles);
         assert_eq!(faulted.breakdown, clean.breakdown);
@@ -488,7 +460,7 @@ mod tests {
         let w = workload(&shape, 0.4, 0.35, 22);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = run(&w, &m, &cfg, ScnnVariant::Full);
         assert!(
             r.breakdown.zero as f64 > 2.0 * r.breakdown.nonzero as f64,
             "zero {} vs nonzero {}",
@@ -504,7 +476,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.4, 23);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = run(&w, &m, &cfg, ScnnVariant::Full);
         // Inter-PE loss must be at least the 7 idle PEs' share.
         let idle_share = r.breakdown.inter as f64 / r.breakdown.total() as f64;
         assert!(idle_share > 0.3, "idle share {idle_share}");
@@ -517,7 +489,7 @@ mod tests {
         let w = unit_stride_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = run(&w, &m, &cfg, ScnnVariant::Full);
         let d = w.shape.in_channels;
         let mut in_c = vec![0u64; d];
         for y in 0..w.shape.in_width {
@@ -552,7 +524,7 @@ mod tests {
         let w = workload(&shape, 0.5, 0.35, 24);
         let cfg = test_config();
         let m = MaskModel::new(&w, 128);
-        let r = simulate_scnn(&w, &m, &cfg, ScnnVariant::Full);
+        let r = run(&w, &m, &cfg, ScnnVariant::Full);
         let intra_share = r.breakdown.intra as f64 / r.breakdown.total() as f64;
         assert!(intra_share > 0.2, "intra share {intra_share}");
     }

@@ -36,18 +36,13 @@ impl CartesianStats {
 }
 
 /// Runs the convolution as SCNN's Cartesian product and returns the output
-/// tensor plus the product accounting.
+/// tensor plus the product accounting, also recorded as
+/// `SCNN-engine/work.*` counters into `tel` when given.
 ///
 /// For stride s > 1 the product set is unchanged (the dataflow cannot skip
 /// pairs) but only products whose coordinates land on the stride grid are
 /// accumulated — the §2.1.1 inapplicability made executable.
-pub fn scnn_cartesian_conv(workload: &Workload) -> (Tensor3, CartesianStats) {
-    scnn_cartesian_conv_telemetry(workload, None)
-}
-
-/// [`scnn_cartesian_conv`] with an optional telemetry session: records the
-/// product accounting as `SCNN-engine/work.*` counters.
-pub fn scnn_cartesian_conv_telemetry(
+pub fn scnn_cartesian_conv(
     workload: &Workload,
     tel: Option<&Telemetry>,
 ) -> (Tensor3, CartesianStats) {
@@ -140,7 +135,7 @@ mod tests {
     fn unit_stride_matches_reference_convolution() {
         let shape = ConvShape::new(12, 8, 8, 3, 6, 1, 1);
         let w = workload(&shape, 0.5, 0.4, 1);
-        let (out, stats) = scnn_cartesian_conv(&w);
+        let (out, stats) = scnn_cartesian_conv(&w, None);
         assert_close(&out, &conv2d(&w.input, &w.filters, &shape));
         // Unit-stride waste is border-only: small.
         assert!(
@@ -156,7 +151,7 @@ mod tests {
         // join's MAC count.
         let shape = ConvShape::new(16, 7, 7, 3, 5, 1, 1);
         let w = workload(&shape, 0.4, 0.4, 2);
-        let (_, stats) = scnn_cartesian_conv(&w);
+        let (_, stats) = scnn_cartesian_conv(&w, None);
         let model = MaskModel::new(&w, 64);
         assert_eq!(stats.accumulated, model.total_sparse_macs());
     }
@@ -167,7 +162,7 @@ mod tests {
         // wastes ~1 − 1/s² of its products doing so.
         let shape = ConvShape::new(8, 9, 9, 3, 4, 2, 1);
         let w = workload(&shape, 0.5, 0.5, 3);
-        let (out, stats) = scnn_cartesian_conv(&w);
+        let (out, stats) = scnn_cartesian_conv(&w, None);
         assert_close(&out, &conv2d(&w.input, &w.filters, &shape));
         assert!(
             stats.waste_fraction() > 0.6,
@@ -180,7 +175,7 @@ mod tests {
     fn stride_four_wastes_about_fifteen_sixteenths() {
         let shape = ConvShape::new(4, 21, 21, 5, 2, 4, 2);
         let w = workload(&shape, 0.6, 0.6, 4);
-        let (out, stats) = scnn_cartesian_conv(&w);
+        let (out, stats) = scnn_cartesian_conv(&w, None);
         assert_close(&out, &conv2d(&w.input, &w.filters, &shape));
         assert!(
             stats.waste_fraction() > 0.85,
@@ -193,7 +188,7 @@ mod tests {
     fn products_match_channel_pair_count() {
         let shape = ConvShape::new(8, 6, 6, 3, 4, 1, 1);
         let w = workload(&shape, 0.4, 0.4, 5);
-        let (_, stats) = scnn_cartesian_conv(&w);
+        let (_, stats) = scnn_cartesian_conv(&w, None);
         let mut expect = 0u64;
         for z in 0..8 {
             let mut i = 0u64;

@@ -51,94 +51,27 @@ pub enum Sparsity {
 /// Per-chunk broadcast/setup overhead in cycles.
 const CHUNK_OVERHEAD: u64 = 1;
 
-/// Simulates one layer on the SparTen microarchitecture.
+/// Simulates one layer on the SparTen microarchitecture under an explicit
+/// filter-to-unit assignment ([`LayerBalance::new`] for the paper's
+/// schedules, [`LayerBalance::with_collocation`] for k-way collocation).
+/// One-sided runs treat filters as dense, so their balance should be built
+/// with [`BalanceMode::None`] (GB is moot when filter density is uniform).
 ///
-/// `mode` is forced to [`BalanceMode::None`] for one-sided runs (filter
-/// density is uniform when filters are dense, so GB is moot).
+/// With `tel`, stall-cause counters, occupancy gauges, chunk-barrier
+/// histograms, and sampled per-cluster timeline spans are recorded.
+///
+/// With `fault`, one compute unit misbehaves. A [`UnitFault::Slow`]
+/// straggler stretches only the victim's per-chunk *latency*: its useful
+/// work (and every cycle-accounting identity) is unchanged, the lost time
+/// shows up as barrier idle — so a slow unit is survivable and the result
+/// stays work-equivalent to the clean run. A [`UnitFault::Stuck`] unit that
+/// holds any nonzero work makes the layer unrecoverable and returns
+/// [`SimError::StuckUnit`]; without a fault the call cannot fail.
+///
+/// # Panics
+///
+/// Panics if `balance` was built for a unit count other than the config's.
 pub fn simulate_sparten(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    mode: BalanceMode,
-) -> SimResult {
-    simulate_sparten_telemetry(workload, model, config, sparsity, mode, None)
-}
-
-/// [`simulate_sparten`] with an optional telemetry session: stall-cause
-/// counters, occupancy gauges, chunk-barrier histograms, and sampled
-/// per-cluster timeline spans are recorded when `tel` is `Some`.
-pub fn simulate_sparten_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    mode: BalanceMode,
-    tel: Option<&Telemetry>,
-) -> SimResult {
-    let units = config.accel.cluster.compute_units;
-    let chunk_size = config.accel.cluster.chunk_size;
-    let mode = match sparsity {
-        Sparsity::OneSided => BalanceMode::None,
-        Sparsity::TwoSided => mode,
-    };
-    let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
-    simulate_sparten_with_balance_telemetry(workload, model, config, sparsity, balance, tel)
-}
-
-/// [`simulate_sparten`] with a stuck/slow compute-unit fault injected.
-///
-/// A [`UnitFault::Slow`] straggler stretches only the victim's per-chunk
-/// *latency*: its useful work (and every cycle-accounting identity) is
-/// unchanged, the lost time shows up as barrier idle — so a slow unit is
-/// survivable and the result stays work-equivalent to the clean run. A
-/// [`UnitFault::Stuck`] unit that holds any nonzero work makes the layer
-/// unrecoverable and returns [`SimError::StuckUnit`].
-pub fn simulate_sparten_faulted(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    mode: BalanceMode,
-    fault: &UnitFaultSpec,
-    tel: Option<&Telemetry>,
-) -> Result<SimResult, SimError> {
-    let units = config.accel.cluster.compute_units;
-    let chunk_size = config.accel.cluster.chunk_size;
-    let mode = match sparsity {
-        Sparsity::OneSided => BalanceMode::None,
-        Sparsity::TwoSided => mode,
-    };
-    let balance = LayerBalance::new(&workload.filters, units, chunk_size, mode);
-    simulate_sparten_inner(workload, model, config, sparsity, balance, tel, Some(fault))
-}
-
-/// Simulates with an explicit balance assignment (e.g. k-way collocation
-/// from [`LayerBalance::with_collocation`]).
-pub fn simulate_sparten_with_balance(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    balance: LayerBalance,
-) -> SimResult {
-    simulate_sparten_with_balance_telemetry(workload, model, config, sparsity, balance, None)
-}
-
-/// [`simulate_sparten_with_balance`] with an optional telemetry session.
-pub fn simulate_sparten_with_balance_telemetry(
-    workload: &Workload,
-    model: &MaskModel,
-    config: &SimConfig,
-    sparsity: Sparsity,
-    balance: LayerBalance,
-    tel: Option<&Telemetry>,
-) -> SimResult {
-    simulate_sparten_inner(workload, model, config, sparsity, balance, tel, None)
-        .expect("fault-free simulation cannot fail")
-}
-
-fn simulate_sparten_inner(
     workload: &Workload,
     model: &MaskModel,
     config: &SimConfig,
@@ -560,6 +493,30 @@ mod tests {
         workload(&shape, 0.4, 0.35, 11)
     }
 
+    fn run_faulted(
+        w: &Workload,
+        m: &MaskModel,
+        cfg: &SimConfig,
+        sparsity: Sparsity,
+        mode: BalanceMode,
+        fault: Option<&UnitFaultSpec>,
+    ) -> Result<SimResult, SimError> {
+        let cluster = &cfg.accel.cluster;
+        let balance =
+            LayerBalance::new(&w.filters, cluster.compute_units, cluster.chunk_size, mode);
+        simulate_sparten(w, m, cfg, sparsity, balance, None, fault)
+    }
+
+    fn run(
+        w: &Workload,
+        m: &MaskModel,
+        cfg: &SimConfig,
+        sparsity: Sparsity,
+        mode: BalanceMode,
+    ) -> SimResult {
+        run_faulted(w, m, cfg, sparsity, mode, None).expect("fault-free simulation cannot fail")
+    }
+
     #[test]
     fn accounting_identity_holds_for_all_modes() {
         let w = test_workload();
@@ -571,7 +528,7 @@ mod tests {
             (Sparsity::TwoSided, BalanceMode::GbS),
             (Sparsity::TwoSided, BalanceMode::GbH),
         ] {
-            let r = simulate_sparten(&w, &m, &cfg, s, mode);
+            let r = run(&w, &m, &cfg, s, mode);
             assert!(r.accounting_holds(), "{}: accounting broken", r.scheme);
         }
     }
@@ -581,8 +538,8 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let one = simulate_sparten(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
-        let two = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let one = run(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
+        let two = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(two.cycles() < one.cycles());
     }
 
@@ -591,9 +548,9 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let none = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
-        let gbs = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
-        let gbh = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let none = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::None);
+        let gbs = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
+        let gbh = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(gbs.compute_cycles <= none.compute_cycles);
         assert!(gbh.compute_cycles <= gbs.compute_cycles);
     }
@@ -603,9 +560,9 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let one = simulate_sparten(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
+        let one = run(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
         assert!(one.breakdown.zero > 0);
-        let two = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let two = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert_eq!(two.breakdown.zero, 0);
         assert_eq!(one.breakdown.nonzero, two.breakdown.nonzero);
     }
@@ -615,8 +572,8 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let one = simulate_sparten(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
-        let two = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let one = run(&w, &m, &cfg, Sparsity::OneSided, BalanceMode::None);
+        let two = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(one.traffic.zero_value_bytes > 0.0);
         assert_eq!(two.traffic.zero_value_bytes, 0.0);
         assert!(two.traffic.filter_bytes < one.traffic.filter_bytes);
@@ -627,9 +584,9 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let gbh = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let gbh = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(gbh.ops.permute_values > 0);
-        let gbs = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
+        let gbs = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
         assert_eq!(gbs.ops.permute_values, 0);
     }
 
@@ -644,17 +601,9 @@ mod tests {
             fault: UnitFault::Slow(4),
         };
         for sparsity in [Sparsity::OneSided, Sparsity::TwoSided] {
-            let clean = simulate_sparten(&w, &m, &cfg, sparsity, BalanceMode::None);
-            let slow = simulate_sparten_faulted(
-                &w,
-                &m,
-                &cfg,
-                sparsity,
-                BalanceMode::None,
-                &fault,
-                None,
-            )
-            .expect("slow unit is not a detection failure");
+            let clean = run(&w, &m, &cfg, sparsity, BalanceMode::None);
+            let slow = run_faulted(&w, &m, &cfg, sparsity, BalanceMode::None, Some(&fault))
+                .expect("slow unit is not a detection failure");
             // The straggler stretches latency only: true work is untouched,
             // and the cycle-accounting identity still closes exactly.
             assert_eq!(slow.breakdown.nonzero, clean.breakdown.nonzero);
@@ -674,14 +623,13 @@ mod tests {
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let err = simulate_sparten_faulted(
+        let err = run_faulted(
             &w,
             &m,
             &cfg,
             Sparsity::TwoSided,
             BalanceMode::None,
-            &fault,
-            None,
+            Some(&fault),
         )
         .expect_err("a stuck unit holding work must surface as an error");
         assert!(matches!(
@@ -695,20 +643,19 @@ mod tests {
         let w = test_workload();
         let cfg = test_config();
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let clean = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let clean = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         let fault = UnitFaultSpec {
             cluster: 999,
             unit: 0,
             fault: UnitFault::Stuck,
         };
-        let faulted = simulate_sparten_faulted(
+        let faulted = run_faulted(
             &w,
             &m,
             &cfg,
             Sparsity::TwoSided,
             BalanceMode::GbH,
-            &fault,
-            None,
+            Some(&fault),
         )
         .expect("a fault outside the array cannot fire");
         assert_eq!(faulted.compute_cycles, clean.compute_cycles);
@@ -724,7 +671,7 @@ mod tests {
         let mut cfg = SimConfig::fpga();
         cfg.memory.bytes_per_cycle = 0.5;
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-        let r = simulate_sparten(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+        let r = run(&w, &m, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
         assert!(r.is_memory_bound());
     }
 }

@@ -100,17 +100,6 @@ impl ClusterTraceLog {
     }
 }
 
-/// Traces the first cluster's first `max_positions` output cells under the
-/// given balance mode.
-pub fn trace_cluster(
-    workload: &Workload,
-    config: &SimConfig,
-    mode: BalanceMode,
-    max_positions: usize,
-) -> ClusterTraceLog {
-    trace_cluster_telemetry(workload, config, mode, max_positions, None)
-}
-
 /// The telemetry scope a balance mode's trace records under.
 fn trace_scope(mode: BalanceMode) -> &'static str {
     match mode {
@@ -121,12 +110,15 @@ fn trace_scope(mode: BalanceMode) -> &'static str {
     }
 }
 
-/// [`trace_cluster`] with an optional telemetry session: every chunk
-/// barrier is additionally emitted through the recorder — one thread track
-/// per compute unit, one span per unit per barrier (Figure 6's strips as a
-/// Perfetto timeline) — plus `trace.useful_slots` / `trace.barrier_slots`
-/// counters whose ratio is exactly [`ClusterTraceLog::utilization`].
-pub fn trace_cluster_telemetry(
+/// Traces the first cluster's first `max_positions` output cells under the
+/// given balance mode.
+///
+/// With `tel`, every chunk barrier is additionally emitted through the
+/// recorder — one thread track per compute unit, one span per unit per
+/// barrier (Figure 6's strips as a Perfetto timeline) — plus
+/// `trace.useful_slots` / `trace.barrier_slots` counters whose ratio is
+/// exactly [`ClusterTraceLog::utilization`].
+pub fn trace_cluster(
     workload: &Workload,
     config: &SimConfig,
     mode: BalanceMode,
@@ -223,7 +215,7 @@ mod tests {
     #[test]
     fn trace_covers_positions_groups_chunks() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::None, 3);
+        let log = trace_cluster(&w, &cfg, BalanceMode::None, 3, None);
         // 3 positions × 4 groups (16 filters / 4 units) × 9 chunks.
         assert_eq!(log.events.len(), 3 * 4 * 9);
         assert!(log.events.iter().all(|e| e.unit_work.len() == 4));
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn barrier_is_the_unit_maximum() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 2);
+        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 2, None);
         for e in &log.events {
             assert_eq!(e.barrier, *e.unit_work.iter().max().expect("units"));
             assert_eq!(
@@ -248,15 +240,15 @@ mod tests {
     #[test]
     fn gb_raises_traced_utilization() {
         let (w, cfg) = setup();
-        let plain = trace_cluster(&w, &cfg, BalanceMode::None, 6).utilization();
-        let gbh = trace_cluster(&w, &cfg, BalanceMode::GbH, 6).utilization();
+        let plain = trace_cluster(&w, &cfg, BalanceMode::None, 6, None).utilization();
+        let gbh = trace_cluster(&w, &cfg, BalanceMode::GbH, 6, None).utilization();
         assert!(gbh > plain, "GB-H {gbh} !> none {plain}");
     }
 
     #[test]
     fn render_produces_one_strip_per_unit() {
         let (w, cfg) = setup();
-        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 1);
+        let log = trace_cluster(&w, &cfg, BalanceMode::GbS, 1, None);
         let text = log.render(2, 20);
         // Two events × (1 header + 4 units) lines.
         assert_eq!(text.lines().count(), 2 * 5);

@@ -7,7 +7,7 @@
 //! numerical equality of the functional paths, work-count agreement
 //! between the engine trace and the simulators, and the breakdown
 //! accounting identity. Used by integration tests and the `validate`
-//! binary as a one-shot health check.
+//! experiment as a one-shot health check.
 
 use sparten_core::balance::BalanceMode;
 use sparten_core::{AcceleratorConfig, ClusterConfig, SparTenEngine};
@@ -17,7 +17,6 @@ use sparten_nn::{conv2d, ConvShape};
 use crate::config::SimConfig;
 use crate::runner::{simulate_layer, Scheme};
 use crate::scnn_engine::scnn_cartesian_conv;
-use crate::sparten::{simulate_sparten, Sparsity};
 use crate::workmodel::MaskModel;
 
 /// The outcome of one validation run.
@@ -96,7 +95,7 @@ pub fn validate_layer(
     }
 
     // SCNN Cartesian engine against the reference.
-    let (scnn_out, _) = scnn_cartesian_conv(&w);
+    let (scnn_out, _) = scnn_cartesian_conv(&w, None);
     let scnn_max_err = max_err(&scnn_out, &reference);
 
     // Simulators: accounting + work agreement + ordering.
@@ -106,7 +105,7 @@ pub fn validate_layer(
     let accounting_holds = Scheme::all()
         .iter()
         .all(|&s| simulate_layer(&w, &model, &cfg, s).accounting_holds());
-    let sim = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, BalanceMode::None);
+    let sim = simulate_layer(&w, &model, &cfg, Scheme::SpartenNoGb);
     let mac_counts_agree = Some(sim.breakdown.nonzero) == engine_macs;
     let dense = simulate_layer(&w, &model, &cfg, Scheme::Dense).cycles();
     let one = simulate_layer(&w, &model, &cfg, Scheme::OneSided).cycles();

@@ -136,7 +136,7 @@ fn breakdown_accounting_identity_holds_across_simulators() {
             );
             assert_eq!(r.scheme, scheme.label());
         }
-        let cambricon = simulate_cambricon(&w, &config);
+        let cambricon = simulate_cambricon(&w, &config, None);
         assert!(
             cambricon.sim.accounting_holds(),
             "Cambricon-S: breakdown {:?} != {} cycles × {} units",

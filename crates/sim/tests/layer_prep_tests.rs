@@ -29,8 +29,10 @@ use sparten_core::SimError;
 use sparten_faults::{UnitFault, UnitFaultSpec};
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::{alexnet, googlenet, vggnet, ConvShape};
-use sparten_sim::scnn::{simulate_scnn, simulate_scnn_telemetry, ScnnVariant};
-use sparten_sim::{simulate_scnn_faulted, Breakdown, MaskModel, OpCounts, SimConfig};
+use sparten_sim::scnn::ScnnVariant;
+use sparten_sim::{
+    simulate, simulate_layer, Breakdown, Hooks, MaskModel, OpCounts, Scheme, SimConfig,
+};
 use sparten_telemetry::{MetricValue, Telemetry};
 
 const EXHAUSTIVE: bool = cfg!(feature = "exhaustive-tests");
@@ -444,6 +446,15 @@ fn one_pe_config() -> SimConfig {
 
 const VARIANTS: [ScnnVariant; 3] = [ScnnVariant::Full, ScnnVariant::OneSided, ScnnVariant::Dense];
 
+/// The scheme that runs `variant`.
+fn variant_scheme(variant: ScnnVariant) -> Scheme {
+    match variant {
+        ScnnVariant::Full => Scheme::Scnn,
+        ScnnVariant::OneSided => Scheme::ScnnOneSided,
+        ScnnVariant::Dense => Scheme::ScnnDense,
+    }
+}
+
 /// Checks every variant, clean, instrumented and under each fault, on one
 /// layer and config.
 fn check_scnn(w: &Workload, cfg: &SimConfig, what: &str) {
@@ -451,13 +462,17 @@ fn check_scnn(w: &Workload, cfg: &SimConfig, what: &str) {
     let pes = cfg.scnn.num_pes;
     for variant in VARIANTS {
         let clean = reference_scnn(w, &m, cfg, variant, None).expect("no fault");
-        let r = simulate_scnn(w, &m, cfg, variant);
+        let r = simulate_layer(w, &m, cfg, variant_scheme(variant));
         let got = (r.compute_cycles, r.breakdown, r.ops);
         let expect = (clean.compute_cycles, clean.breakdown, clean.ops);
         assert_eq!(got, expect, "{what} {variant:?}: clean run");
 
         let session = Telemetry::new();
-        let t = simulate_scnn_telemetry(w, &m, cfg, variant, Some(&session));
+        let hooks = Hooks {
+            telemetry: Some((&session, "")),
+            fault: None,
+        };
+        let t = simulate(w, &m, cfg, variant_scheme(variant), &hooks).expect("reconciles");
         assert_eq!(t, r, "{what} {variant:?}: telemetry changed the result");
         let snap = session.metrics.snapshot();
         let scheme = r.scheme;
@@ -486,7 +501,11 @@ fn check_scnn(w: &Workload, cfg: &SimConfig, what: &str) {
                     unit: 0,
                     fault,
                 };
-                let got = simulate_scnn_faulted(w, &m, cfg, variant, &spec, None)
+                let hooks = Hooks {
+                    telemetry: None,
+                    fault: Some(&spec),
+                };
+                let got = simulate(w, &m, cfg, variant_scheme(variant), &hooks)
                     .map(|r| (r.compute_cycles, r.breakdown, r.ops));
                 let expect = reference_scnn(w, &m, cfg, variant, Some(&spec))
                     .map(|e| (e.compute_cycles, e.breakdown, e.ops));
@@ -536,14 +555,18 @@ fn scnn_stuck_pe_without_work_is_masked() {
     let wl = layer(16, 3, 3, 1, 9, 1, 0, 0, 77);
     let cfg = SimConfig::large();
     let m = MaskModel::new(&wl, cfg.accel.cluster.chunk_size);
-    let clean = simulate_scnn(&wl, &m, &cfg, ScnnVariant::Full);
+    let clean = simulate_layer(&wl, &m, &cfg, Scheme::Scnn);
     for fault in [UnitFault::Slow(4), UnitFault::Stuck] {
         let spec = UnitFaultSpec {
             cluster: 0,
             unit: 0,
             fault,
         };
-        let r = simulate_scnn_faulted(&wl, &m, &cfg, ScnnVariant::Full, &spec, None)
+        let hooks = Hooks {
+            telemetry: None,
+            fault: Some(&spec),
+        };
+        let r = simulate(&wl, &m, &cfg, Scheme::Scnn, &hooks)
             .expect("an idle PE cannot fail the layer");
         assert_eq!(r, clean, "{fault:?}");
     }

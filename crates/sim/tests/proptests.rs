@@ -95,7 +95,7 @@ fn cartesian_engine_matches_reference_on_random_unit_stride() {
         }
         let shape = ConvShape::new(d, hw, hw, k, n, 1, k / 2);
         let w = workload(&shape, 0.5, 0.5, seed);
-        let (out, stats) = scnn_cartesian_conv(&w);
+        let (out, stats) = scnn_cartesian_conv(&w, None);
         let reference = sparten_nn::conv2d(&w.input, &w.filters, &shape);
         for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");

@@ -21,10 +21,7 @@ use sparten_core::SimError;
 use sparten_faults::{UnitFault, UnitFaultSpec};
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
-use sparten_sim::sparten::{
-    simulate_sparten_faulted, simulate_sparten_with_balance,
-    simulate_sparten_with_balance_telemetry, Sparsity,
-};
+use sparten_sim::sparten::{simulate_sparten, Sparsity};
 use sparten_sim::{Breakdown, MaskModel, OpCounts, SimConfig, SimResult};
 use sparten_telemetry::Telemetry;
 
@@ -216,16 +213,19 @@ fn check_layer(w: &Workload, cfg: &SimConfig, what: &str) {
         let what = format!("{what} {name}");
         let walk = reference(&m, cfg, &balance, None).expect("clean walk");
         let tel = Telemetry::new();
-        let r = simulate_sparten_with_balance_telemetry(
+        let r = simulate_sparten(
             w,
             &m,
             cfg,
             Sparsity::TwoSided,
             balance.clone(),
             Some(&tel),
-        );
+            None,
+        )
+        .expect("fault-free simulation cannot fail");
         assert_matches(&r, &tel, &walk, &m, &what);
-        let plain = simulate_sparten_with_balance(w, &m, cfg, Sparsity::TwoSided, balance);
+        let plain = simulate_sparten(w, &m, cfg, Sparsity::TwoSided, balance, None, None)
+            .expect("fault-free simulation cannot fail");
         assert_eq!(plain, r, "{what}: telemetry changed the result");
     }
 
@@ -241,17 +241,12 @@ fn check_layer(w: &Workload, cfg: &SimConfig, what: &str) {
                     };
                     let what = format!("{what} {mode:?} {spec:?}");
                     let tel = Telemetry::new();
-                    let got = simulate_sparten_faulted(
-                        w,
-                        &m,
-                        cfg,
-                        Sparsity::TwoSided,
-                        mode,
-                        &spec,
-                        Some(&tel),
-                    );
-                    let plain =
-                        simulate_sparten_faulted(w, &m, cfg, Sparsity::TwoSided, mode, &spec, None);
+                    let run = |tel| {
+                        let b = balance.clone();
+                        simulate_sparten(w, &m, cfg, Sparsity::TwoSided, b, tel, Some(&spec))
+                    };
+                    let got = run(Some(&tel));
+                    let plain = run(None);
                     assert_eq!(plain, got, "{what}: telemetry changed the result");
                     match (reference(&m, cfg, &balance, Some(&spec)), got) {
                         (Ok(walk), Ok(r)) => assert_matches(&r, &tel, &walk, &m, &what),

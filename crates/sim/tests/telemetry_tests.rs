@@ -1,13 +1,30 @@
 //! Reconciliation tests: the telemetry stall/work counters must agree
 //! *exactly* with every simulator's Figure 10–12 breakdown.
 
+use sparten_core::SimError;
 use sparten_nn::generate::{workload, Workload};
 use sparten_nn::ConvShape;
 use sparten_sim::{
-    simulate_cambricon_checked, simulate_layer, simulate_layer_telemetry, trace_cluster,
-    trace_cluster_telemetry, MaskModel, Scheme, SimConfig,
+    reconcile_and_merge, simulate, simulate_cambricon, simulate_layer, trace_cluster, Hooks,
+    MaskModel, Scheme, SimConfig, SimResult,
 };
 use sparten_telemetry::Telemetry;
+
+/// [`simulate`] recording into `session` under `prefix`.
+fn simulate_telemetry(
+    w: &Workload,
+    m: &MaskModel,
+    cfg: &SimConfig,
+    scheme: Scheme,
+    session: &Telemetry,
+    prefix: &str,
+) -> Result<SimResult, SimError> {
+    let hooks = Hooks {
+        telemetry: Some((session, prefix)),
+        fault: None,
+    };
+    simulate(w, m, cfg, scheme, &hooks)
+}
 
 fn test_config() -> SimConfig {
     let mut cfg = SimConfig::small();
@@ -29,7 +46,7 @@ fn all_schemes_reconcile_on_two_seeds() {
         let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
         for scheme in Scheme::all() {
             let session = Telemetry::new();
-            let r = simulate_layer_telemetry(&w, &m, &cfg, scheme, &session, "t:")
+            let r = simulate_telemetry(&w, &m, &cfg, scheme, &session, "t:")
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             // The instrumented run must return the identical result.
             let plain = simulate_layer(&w, &m, &cfg, scheme);
@@ -62,8 +79,7 @@ fn strided_and_unbalanced_layers_reconcile() {
     let m = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
     for scheme in Scheme::all() {
         let session = Telemetry::new();
-        simulate_layer_telemetry(&w, &m, &cfg, scheme, &session, "s:")
-            .unwrap_or_else(|e| panic!("{e}"));
+        simulate_telemetry(&w, &m, &cfg, scheme, &session, "s:").unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -73,8 +89,9 @@ fn cambricon_reconciles_and_merges() {
     let shape = ConvShape::new(64, 8, 8, 3, 32, 1, 1);
     let w = workload(&shape, 0.35, 0.4, 77);
     let session = Telemetry::new();
-    let r = simulate_cambricon_checked(&w, &cfg, &session, "cam:")
-        .expect("cambricon telemetry reconciles");
+    let local = Telemetry::new();
+    let r = simulate_cambricon(&w, &cfg, Some(&local));
+    reconcile_and_merge(local, &r.sim, &session, "cam:").expect("cambricon telemetry reconciles");
     let snap = session.metrics.snapshot();
     assert_eq!(
         snap.counter("Cambricon-S-like/work.zero"),
@@ -93,10 +110,10 @@ fn shared_session_accumulates_across_layers() {
     let m1 = MaskModel::new(&w1, cfg.accel.cluster.chunk_size);
     let m2 = MaskModel::new(&w2, cfg.accel.cluster.chunk_size);
     let session = Telemetry::new();
-    let r1 = simulate_layer_telemetry(&w1, &m1, &cfg, Scheme::SpartenGbH, &session, "l1:")
-        .expect("layer 1");
-    let r2 = simulate_layer_telemetry(&w2, &m2, &cfg, Scheme::SpartenGbH, &session, "l2:")
-        .expect("layer 2");
+    let r1 =
+        simulate_telemetry(&w1, &m1, &cfg, Scheme::SpartenGbH, &session, "l1:").expect("layer 1");
+    let r2 =
+        simulate_telemetry(&w2, &m2, &cfg, Scheme::SpartenGbH, &session, "l2:").expect("layer 2");
     let snap = session.metrics.snapshot();
     assert_eq!(
         snap.counter("SparTen/work.nonzero"),
@@ -117,14 +134,14 @@ fn trace_counters_match_log_utilization() {
     let cfg = test_config();
     let w = test_workload(17);
     let tel = Telemetry::new();
-    let log = trace_cluster_telemetry(
+    let log = trace_cluster(
         &w,
         &cfg,
         sparten_core::balance::BalanceMode::GbS,
         4,
         Some(&tel),
     );
-    let plain = trace_cluster(&w, &cfg, sparten_core::balance::BalanceMode::GbS, 4);
+    let plain = trace_cluster(&w, &cfg, sparten_core::balance::BalanceMode::GbS, 4, None);
     assert_eq!(log, plain, "telemetry changed the trace log");
     let snap = tel.metrics.snapshot();
     let useful = snap.counter("Trace-GB-S/trace.useful_slots").expect("useful") as f64;

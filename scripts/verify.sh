@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --workspace --release
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy (all targets, deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test --workspace -q

@@ -2,12 +2,12 @@
 //! work), the dense-image formatter (§3.1 special case), output-region
 //! memory management, batch simulation, and the collocation ablation.
 
-use sparten::core::balance::BalanceMode;
+use sparten::core::balance::{BalanceMode, LayerBalance};
 use sparten::core::{AcceleratorConfig, ClusterConfig, OutputMemory, SparTenEngine};
 use sparten::nn::generate::{workload, workload_batch};
 use sparten::nn::{ConvShape, FcLayer, Mlp};
 use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{simulate_spec_batch, MaskModel, Scheme, SimConfig};
+use sparten::sim::{simulate_layer, simulate_spec_batch, MaskModel, Scheme, SimConfig};
 use sparten::tensor::{FormattedImage, Tensor3};
 
 fn engine_config(units: usize, clusters: usize) -> AcceleratorConfig {
@@ -75,7 +75,7 @@ fn fc_layer_has_no_zero_compute_on_sparten() {
     let w = fc.to_workload(&x);
     let cfg = SimConfig::small();
     let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-    let r = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, BalanceMode::GbH);
+    let r = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbH);
     assert_eq!(r.breakdown.zero, 0);
     assert!(r.accounting_holds());
     assert!(r.breakdown.nonzero > 0);
@@ -243,14 +243,12 @@ fn collocation_ablation_direction() {
     let mut cfg = SimConfig::small();
     cfg.accel.num_clusters = 2;
     let model = MaskModel::new(&w, cfg.accel.cluster.chunk_size);
-    let with = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, BalanceMode::GbS);
-    let without = simulate_sparten(
-        &w,
-        &model,
-        &cfg,
-        Sparsity::TwoSided,
-        BalanceMode::GbSNoColloc,
-    );
+    let with = simulate_layer(&w, &model, &cfg, Scheme::SpartenGbS);
+    let cluster = &cfg.accel.cluster;
+    let (units, chunk) = (cluster.compute_units, cluster.chunk_size);
+    let balance = LayerBalance::new(&w.filters, units, chunk, BalanceMode::GbSNoColloc);
+    let without = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, balance, None, None)
+        .expect("fault-free simulation cannot fail");
     assert!(
         with.cycles() < without.cycles(),
         "colloc {} !< no-colloc {}",

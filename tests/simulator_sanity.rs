@@ -3,10 +3,10 @@
 //! simulated layer must satisfy.
 
 use sparten::core::{AcceleratorConfig, BalanceMode, ClusterConfig, SparTenEngine};
+use sparten::faults::UnitFaultSpec;
 use sparten::nn::generate::workload;
 use sparten::nn::ConvShape;
-use sparten::sim::sparten::{simulate_sparten, Sparsity};
-use sparten::sim::{simulate_layer, MaskModel, Scheme, SimConfig};
+use sparten::sim::{simulate_layer, Hooks, MaskModel, Scheme, SimConfig};
 
 fn sim_config(units: usize, clusters: usize) -> SimConfig {
     let mut cfg = SimConfig::small();
@@ -21,6 +21,14 @@ fn sim_config(units: usize, clusters: usize) -> SimConfig {
     cfg
 }
 
+/// Hooks that inject one unit fault.
+fn faulted(fault: &UnitFaultSpec) -> Hooks<'_> {
+    Hooks {
+        telemetry: None,
+        fault: Some(fault),
+    }
+}
+
 /// The fast simulator's useful-MAC total must equal the exact engine's
 /// work trace, and its compute makespan must equal the engine's barrier
 /// time plus the per-chunk broadcast overhead.
@@ -32,9 +40,13 @@ fn simulator_work_matches_engine_trace_exactly() {
     let model = MaskModel::new(&w, 64);
     let engine = SparTenEngine::new(cfg.accel);
 
-    for mode in [BalanceMode::None, BalanceMode::GbS, BalanceMode::GbH] {
+    for (mode, scheme) in [
+        (BalanceMode::None, Scheme::SpartenNoGb),
+        (BalanceMode::GbS, Scheme::SpartenGbS),
+        (BalanceMode::GbH, Scheme::SpartenGbH),
+    ] {
         let run = engine.run_layer(&w, mode, false);
-        let sim = simulate_sparten(&w, &model, &cfg, Sparsity::TwoSided, mode);
+        let sim = simulate_layer(&w, &model, &cfg, scheme);
         assert_eq!(
             sim.breakdown.nonzero,
             run.trace.total_macs(),
@@ -255,8 +267,8 @@ SCNN-dense compute=147456 memory=1928 cycles=147456 energy_uj=596.522688
 /// the failure output and bumps the harness cache format version.
 #[test]
 fn golden_values_strided_chunk_boundary_layers() {
-    use sparten::faults::{UnitFault, UnitFaultSpec};
-    use sparten::sim::{simulate_layer_telemetry, try_simulate_layer};
+    use sparten::faults::UnitFault;
+    use sparten::sim::{simulate, Hooks};
     use sparten::telemetry::Telemetry;
 
     let layers = [
@@ -290,7 +302,11 @@ fn golden_values_strided_chunk_boundary_layers() {
                 ));
 
                 let session = Telemetry::new();
-                let t = simulate_layer_telemetry(&w, &model, &cfg, scheme, &session, "g:")
+                let hooks = Hooks {
+                    telemetry: Some((&session, "g:")),
+                    fault: None,
+                };
+                let t = simulate(&w, &model, &cfg, scheme, &hooks)
                     .unwrap_or_else(|e| panic!("{}: {e}", r.scheme));
                 assert_eq!(t, r, "telemetry changed {} result", r.scheme);
                 let snap = session.metrics.snapshot();
@@ -311,7 +327,7 @@ fn golden_values_strided_chunk_boundary_layers() {
                     unit: 1,
                     fault: UnitFault::Slow(4),
                 };
-                let s = try_simulate_layer(&w, &model, &cfg, scheme, Some(&slow))
+                let s = simulate(&w, &model, &cfg, scheme, &faulted(&slow))
                     .expect("a slow unit is survivable");
                 let sb = s.breakdown;
                 got.push_str(&format!(
@@ -324,7 +340,7 @@ fn golden_values_strided_chunk_boundary_layers() {
                     unit: 3,
                     fault: UnitFault::Stuck,
                 };
-                match try_simulate_layer(&w, &model, &cfg, scheme, Some(&stuck)) {
+                match simulate(&w, &model, &cfg, scheme, &faulted(&stuck)) {
                     Ok(s) => got.push_str(&format!("    stuck ok compute={}\n", s.compute_cycles)),
                     Err(e) => got.push_str(&format!("    stuck err {e}\n")),
                 }
@@ -452,8 +468,8 @@ d=130 chunk=256 macs=36923
 /// harness cache format version.
 #[test]
 fn golden_values_scnn_strided_layers() {
-    use sparten::faults::{UnitFault, UnitFaultSpec};
-    use sparten::sim::{simulate_layer_telemetry, try_simulate_layer};
+    use sparten::faults::UnitFault;
+    use sparten::sim::{simulate, Hooks};
     use sparten::telemetry::Telemetry;
 
     let layers = [
@@ -479,7 +495,11 @@ fn golden_values_scnn_strided_layers() {
                 ));
 
                 let session = Telemetry::new();
-                let t = simulate_layer_telemetry(&w, &model, &cfg, scheme, &session, "g:")
+                let hooks = Hooks {
+                    telemetry: Some((&session, "g:")),
+                    fault: None,
+                };
+                let t = simulate(&w, &model, &cfg, scheme, &hooks)
                     .unwrap_or_else(|e| panic!("{}: {e}", r.scheme));
                 assert_eq!(t, r, "telemetry changed {} result", r.scheme);
                 let snap = session.metrics.snapshot();
@@ -495,7 +515,7 @@ fn golden_values_scnn_strided_layers() {
                     unit: 0,
                     fault: UnitFault::Slow(4),
                 };
-                let s = try_simulate_layer(&w, &model, &cfg, scheme, Some(&slow))
+                let s = simulate(&w, &model, &cfg, scheme, &faulted(&slow))
                     .expect("a slow PE is survivable");
                 let sb = s.breakdown;
                 got.push_str(&format!(
@@ -509,7 +529,7 @@ fn golden_values_scnn_strided_layers() {
                         unit: 0,
                         fault: UnitFault::Stuck,
                     };
-                    match try_simulate_layer(&w, &model, &cfg, scheme, Some(&stuck)) {
+                    match simulate(&w, &model, &cfg, scheme, &faulted(&stuck)) {
                         Ok(s) => got.push_str(&format!(
                             "    stuck{victim} ok compute={}\n",
                             s.compute_cycles
